@@ -12,7 +12,7 @@
 
 use o2o_bench::{bench_envelope, emit_bench_json, ExperimentOpts, Json};
 use o2o_core::{
-    build_taxi_grid, CandidateMode, NonSharingDispatcher, PreferenceParams, SparsePickupDistances,
+    build_taxi_grid, candidate_radius, CandidateMode, NonSharingDispatcher, PreferenceParams,
 };
 use o2o_geo::{Euclidean, Point};
 use o2o_par::Parallelism;
@@ -118,15 +118,16 @@ fn main() {
                 std::hint::black_box(sparse.passenger_optimal(&taxis, &requests));
             });
 
-            let spd = SparsePickupDistances::compute(
-                &Euclidean,
-                &params,
-                &taxis,
-                &requests,
-                &build_taxi_grid(&taxis),
-                Parallelism::auto(),
-            );
-            let kept = spd.candidate_count();
+            // Grid-prefiltered pairs: taxis inside each request's candidate
+            // radius, before the seat and threshold filters.
+            let grid = build_taxi_grid(&taxis);
+            let kept: usize = requests
+                .iter()
+                .map(|r| {
+                    let radius = candidate_radius(&params, r.trip_distance(&Euclidean));
+                    grid.within(r.pickup, radius).len()
+                })
+                .sum();
             let pruning = kept as f64 / (n * m) as f64;
             let speedup = dense_min / sparse_min;
             println!(

@@ -55,7 +55,7 @@ pub use o2o_matching::{TimeBudget, TimeBudgetSpec};
 pub use params::PreferenceParams;
 pub use prefs::{
     build_taxi_grid, candidate_radius, CandidateCarry, PickupDistances, PreferenceModel,
-    SparsePickupDistances, SparsePreferenceModel,
+    SparsePreferenceModel,
 };
 pub use schedule::{DispatchOutcome, Schedule};
 pub use shard::{ShardInstance, ShardMembers, ShardMode, ShardPlan, ShardSpec, ShardStats};

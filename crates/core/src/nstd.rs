@@ -254,7 +254,7 @@ impl<M: Metric> NonSharingDispatcher<M> {
     /// on the sparse path, unchanged requests patch their candidate rows
     /// from the carry in `state` instead of re-querying grid and metric
     /// (bit-identical; see
-    /// [`crate::SparsePickupDistances::compute_incremental`]). Dense mode
+    /// [`SparsePreferenceModel::build_incremental`]). Dense mode
     /// ignores the carry.
     fn frame_model_incremental(
         &self,

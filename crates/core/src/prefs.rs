@@ -14,12 +14,15 @@
 //! the raw cost matrices needed to report dissatisfaction afterwards.
 
 use crate::PreferenceParams;
-use o2o_geo::{heuristic_cell_size, BBox, GridIndex, Metric, Point};
-use o2o_matching::StableInstance;
+use o2o_geo::{heuristic_cell_size, BBox, BitsHasher, Disk, GridIndex, Metric, Point};
+use o2o_matching::{KeyedRows, StableInstance};
 use o2o_obs as obs;
-use o2o_par::{par_map, try_par_map, Parallelism, WorkerPanic};
+use o2o_par::{par_map, par_map_ranges, try_par_map, Parallelism, WorkerPanic};
 use o2o_trace::{Request, RequestId, Taxi, TaxiId};
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
+use std::ops::Range;
+use std::sync::Arc;
 
 /// The idle-taxi × pending-request pick-up distance matrix of one frame.
 ///
@@ -289,7 +292,7 @@ impl PreferenceModel {
 /// Both acceptance filters bound the pick-up distance by
 /// `min(θ_p, θ_t + α·trip)`; the bound is inflated by a relative `1e-9`
 /// slack so the float rounding of `d − α·trip` can never exclude a taxi
-/// the dense filter would admit (see [`SparsePickupDistances`]). This is
+/// the dense filter would admit (see [`SparsePreferenceModel`]). This is
 /// the **single source of truth** for that radius — the sparse candidate
 /// builder, the incremental row patcher and the shard partitioner must all
 /// agree on it bit-for-bit, or an entity could be classified interior to a
@@ -331,302 +334,280 @@ pub fn build_taxi_grid(taxis: &[Taxi]) -> GridIndex<usize> {
     )
 }
 
-/// Sparse per-request pick-up distances: for each request, only the taxis
-/// a grid prefilter admits as possibly mutually acceptable.
+/// One frame's candidate arena: for every request, its mutually acceptable
+/// taxis as one contiguous run of `(taxi, pick-up distance, driver score)`,
+/// nearest first (ties by taxi index).
 ///
 /// A pair `(t_i, r_j)` can appear in any preference list only when both
-/// sides accept it: `D(t_i, r_j^s) ≤ θ_p` (passenger) **and**
-/// `D(t_i, r_j^s) − α·trip_j ≤ θ_t` (driver) — entries failing either test
-/// are no-ops in every stable-matching algorithm (a proposal to a reviewer
-/// that does not rank you back is skipped, and vice versa), so dropping
-/// them changes nothing. Both tests bound the pick-up distance by
-/// `min(θ_p, θ_t + α·trip_j)`, which a taxi grid answers in `O(candidates)`
-/// instead of `O(|T|)` per request.
+/// sides accept it: the taxi has the seats, `D(t_i, r_j^s) ≤ θ_p`
+/// (passenger) **and** `D(t_i, r_j^s) − α·trip_j ≤ θ_t` (driver). Entries
+/// failing either test are no-ops in every stable-matching algorithm, so
+/// the arena holds only mutual pairs. Both tests bound the pick-up
+/// distance by `min(θ_p, θ_t + α·trip_j)`, which the taxi grid answers in
+/// `O(candidates)` per request (see [`candidate_radius`]); the grid only
+/// prefilters, and every kept pair passes exactly the dense filters on the
+/// true metric distance, so lists and costs are bit-for-bit the dense
+/// model's restricted to mutual pairs. The grid measures Euclidean
+/// distance, which must lower-bound the dispatch metric (true for
+/// [`o2o_geo::Manhattan`] and for road networks whose edge weights are at
+/// least the segment lengths — the contract [`GridIndex`] documents for
+/// the baselines).
 ///
-/// The grid measures Euclidean distance, which must lower-bound the
-/// dispatch metric (true for [`o2o_geo::Manhattan`] and for road networks
-/// whose edge weights are at least the segment lengths — the same contract
-/// [`GridIndex`] documents for the baselines). The query radius is inflated
-/// by a relative `1e-9` slack so the float rounding of `d − α·trip` can
-/// never exclude a taxi the dense filter `d − α·trip ≤ θ_t` would admit;
-/// candidates then pass through exactly the dense filters on the true
-/// metric distances, keeping the surviving set — and every cost — bit-for-
-/// bit identical to the dense path.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SparsePickupDistances {
-    n_requests: usize,
-    n_taxis: usize,
-    /// `rows[j]` = `(taxi index, D(t_i, r_j^s))` for every prefiltered
-    /// candidate, sorted by `(distance, taxi index)`.
-    rows: Vec<Vec<(usize, f64)>>,
-    /// `trips[j]` = `D(r_j^s, r_j^d)`.
-    trips: Vec<f64>,
+/// The taxis and scores are the keyed rows of the frame's
+/// [`StableInstance`] — a driver prefers the lower score, ties to the
+/// lower request index, exactly the dense model's taxi-list order — and
+/// the pick-up distances sit alongside, entry for entry. Both halves are
+/// shared by reference count between the model that owns the frame and
+/// the [`CandidateCarry`] that patches the next frame from it; neither is
+/// ever copied.
+#[derive(Debug, Clone, Default)]
+struct CandidateArena {
+    /// Request rows: taxi indices keyed by driver score.
+    rows: Arc<KeyedRows>,
+    /// `pickup[e]` = `D(t_i, r_j^s)` for arena entry `e`.
+    pickup: Arc<Vec<f64>>,
 }
 
-impl SparsePickupDistances {
-    /// Computes candidate rows for every request, in parallel.
-    ///
-    /// `grid` must index `0..taxis.len()` at the taxis' current locations
-    /// (see [`build_taxi_grid`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `params` fail [`PreferenceParams::validate`]. Debug builds
-    /// assert that `grid` holds one entry per taxi.
-    #[must_use]
-    pub fn compute<M: Metric>(
+/// One candidate-row entry while a row is assembled.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    taxi: usize,
+    /// `D(t_i, r_j^s)`.
+    pickup: f64,
+    /// `D(t_i, r_j^s) − α·trip_j`.
+    score: f64,
+}
+
+/// The arena's row order as one integer: pick-up distance in the high
+/// half, taxi index in the low — the dense passenger-list comparator
+/// (`partial_cmp`, then index). Arena distances are never `NaN` (the
+/// threshold filters reject it), and `−0.0` is folded onto `+0.0` so the
+/// two zeros tie as they do under `partial_cmp`; on what remains, the
+/// sign-magnitude flip below orders the bit patterns exactly like the
+/// floats.
+fn nearest_key(e: &Entry) -> u128 {
+    let bits = (e.pickup + 0.0).to_bits();
+    let ordered = bits ^ ((((bits as i64) >> 63) as u64) | (1 << 63));
+    (u128::from(ordered) << 64) | e.taxi as u128
+}
+
+/// One worker's contiguous share of a frame's arena.
+#[derive(Debug, Default)]
+struct ArenaPart {
+    rows: KeyedRows,
+    pickup: Vec<f64>,
+    trips: Vec<f64>,
+    /// Rows built on the fresh grid path.
+    fresh: u64,
+}
+
+/// Per-worker row buffers, reused across the requests of a part.
+#[derive(Debug, Default)]
+struct RowScratch {
+    /// Candidate taxi indices awaiting their metric distance.
+    taxis: Vec<usize>,
+    /// Their locations (the batched kernel's targets).
+    locations: Vec<Point>,
+    /// Their metric distances.
+    dists: Vec<f64>,
+    /// Newly admitted entries of a carried row.
+    admitted: Vec<Entry>,
+    /// The row being assembled.
+    row: Vec<Entry>,
+}
+
+impl RowScratch {
+    /// Runs the batched one-to-many kernel from `pickup` over the queued
+    /// candidates and puts those passing the thresholds into `admitted`
+    /// (pickup as the shared origin — metrics are symmetric by contract,
+    /// and the built-in kernels are bit-exact under the argument swap).
+    fn admit<M: Metric>(
+        &mut self,
         metric: &M,
         params: &PreferenceParams,
-        taxis: &[Taxi],
-        requests: &[Request],
-        grid: &GridIndex<usize>,
-        par: Parallelism,
-    ) -> Self {
-        params.validate().expect("invalid preference parameters");
-        debug_assert_eq!(
-            grid.len(),
-            taxis.len(),
-            "taxi grid does not match the taxi slice"
-        );
-        let n_r = requests.len();
-        let n_t = taxis.len();
-        let rows_trips: Vec<(Vec<(usize, f64)>, f64)> = par_map(par, (0..n_r).collect(), |j| {
-            Self::fresh_row(metric, params, taxis, &requests[j], grid)
-        });
-        let mut rows = Vec::with_capacity(n_r);
-        let mut trips = Vec::with_capacity(n_r);
-        for (row, trip) in rows_trips {
-            rows.push(row);
-            trips.push(trip);
-        }
-        SparsePickupDistances {
-            n_requests: n_r,
-            n_taxis: n_t,
-            rows,
-            trips,
-        }
-    }
-
-    /// Candidate `(taxi, D(t_i, r_j^s))` pairs for request `j`, sorted by
-    /// `(distance, taxi index)`.
-    #[must_use]
-    pub fn row(&self, request: usize) -> &[(usize, f64)] {
-        &self.rows[request]
-    }
-
-    /// `D(r_j^s, r_j^d)` for request `j`.
-    #[must_use]
-    pub fn trip(&self, request: usize) -> f64 {
-        self.trips[request]
-    }
-
-    /// `(requests, taxis)` dimensions of the (virtual) matrix.
-    #[must_use]
-    pub fn shape(&self) -> (usize, usize) {
-        (self.n_requests, self.n_taxis)
-    }
-
-    /// Total number of stored candidate pairs — the sparse analogue of
-    /// `|R|·|T|`; benchmark reports use the ratio as the pruning factor.
-    #[must_use]
-    pub fn candidate_count(&self) -> usize {
-        self.rows.iter().map(Vec::len).sum()
-    }
-
-    /// [`compute`](Self::compute), patching the previous frame's candidate
-    /// rows instead of re-querying the grid and the metric for pairs that
-    /// cannot have changed.
-    ///
-    /// A candidate row is a pure function of `(pickup, radius, taxi
-    /// positions)`: membership is the grid's inclusive Euclidean test
-    /// `‖t_i − r_j^s‖ ≤ radius`, costs are exact metric distances, and the
-    /// order is the `(distance, index)` sort. So for a request carried
-    /// unchanged from the previous frame (same id, bit-identical pickup
-    /// and drop-off — hence the same trip and radius), the new row is the
-    /// old row with
-    ///
-    /// 1. entries of departed or moved taxis dropped (their stored
-    ///    distance belongs to a position no longer in the frame), and
-    /// 2. every moved-or-new taxi re-tested against the same inclusive
-    ///    Euclidean predicate, its metric distance computed fresh on
-    ///    admission,
-    ///
-    /// then re-sorted with the same comparator — bit-identical to a fresh
-    /// [`compute`](Self::compute), at the cost of the *changed* taxis
-    /// rather than the whole candidate set. Requests that are new, moved,
-    /// or carried under different [`PreferenceParams`] fall back to the
-    /// fresh grid path, as does the entire frame when either frame's taxi
-    /// ids are ambiguous (duplicates). `carry` is updated with this
-    /// frame's rows for the next call; exactness requires only that the
-    /// carry is always fed through the **same metric** (it revalidates
-    /// params itself).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `params` fail [`PreferenceParams::validate`]. Debug
-    /// builds assert that `grid` holds one entry per taxi.
-    #[must_use]
-    pub fn compute_incremental<M: Metric>(
-        metric: &M,
-        params: &PreferenceParams,
-        taxis: &[Taxi],
-        requests: &[Request],
-        grid: &GridIndex<usize>,
-        par: Parallelism,
-        carry: &mut CandidateCarry,
-    ) -> Self {
-        params.validate().expect("invalid preference parameters");
-        debug_assert_eq!(
-            grid.len(),
-            taxis.len(),
-            "taxi grid does not match the taxi slice"
-        );
-        let n_r = requests.len();
-        let n_t = taxis.len();
-
-        // Map the carried frame onto this one. `stable_new[old]` is the
-        // current index of an old taxi still at the bit-identical
-        // position; `changed` lists current taxis that are new or moved.
-        // Ambiguous (duplicate) taxi ids on either side disable reuse for
-        // the whole frame — a duplicate id could map one old row entry to
-        // the wrong taxi.
-        let mut old_taxi_at: HashMap<TaxiId, usize> = HashMap::with_capacity(carry.taxis.len());
-        let mut unambiguous = carry.params == Some(*params);
-        for (i, &(id, _)) in carry.taxis.iter().enumerate() {
-            if old_taxi_at.insert(id, i).is_some() {
-                unambiguous = false;
+        pickup: Point,
+        trip: f64,
+    ) {
+        self.dists.clear();
+        self.dists.resize(self.locations.len(), 0.0);
+        metric.distances_into(pickup, &self.locations, &mut self.dists);
+        self.admitted.clear();
+        for (&taxi, &d) in self.taxis.iter().zip(&self.dists) {
+            let score = d - params.alpha * trip;
+            if d <= params.passenger_threshold && score <= params.taxi_threshold {
+                self.admitted.push(Entry {
+                    taxi,
+                    pickup: d,
+                    score,
+                });
             }
         }
-        let mut stable_new: Vec<Option<usize>> = vec![None; carry.taxis.len()];
-        let mut changed: Vec<(usize, Point)> = Vec::new();
-        let mut seen_new: HashMap<TaxiId, ()> = HashMap::with_capacity(n_t);
-        for (i, t) in taxis.iter().enumerate() {
-            if seen_new.insert(t.id, ()).is_some() {
-                unambiguous = false;
-            }
-            match old_taxi_at.get(&t.id) {
-                Some(&j) if same_bits(carry.taxis[j].1, t.location) => stable_new[j] = Some(i),
-                _ => changed.push((i, t.location)),
-            }
-        }
-        // Duplicate *request* ids are harmless: the carried row is keyed
-        // by bit-identical pickup/drop-off, and any old request passing
-        // that check carries the right row for this pickup.
-        let old_req_at: HashMap<RequestId, usize> = carry
-            .requests
-            .iter()
-            .enumerate()
-            .map(|(j, &(id, _, _))| (id, j))
-            .collect();
-
-        let carry_ref = &*carry;
-        let stable_new = &stable_new;
-        let changed = &changed;
-        let old_req_at = &old_req_at;
-        let rows_trips: Vec<(Vec<(usize, f64)>, f64)> = par_map(par, (0..n_r).collect(), |j| {
-            let r = &requests[j];
-            if unambiguous {
-                if let Some(&oj) = old_req_at.get(&r.id) {
-                    let (_, op, od) = carry_ref.requests[oj];
-                    if same_bits(op, r.pickup) && same_bits(od, r.dropoff) {
-                        let trip = carry_ref.trips[oj];
-                        let radius = candidate_radius(params, trip);
-                        let mut row: Vec<(usize, f64)> = if radius.is_nan() || radius < 0.0 {
-                            Vec::new()
-                        } else {
-                            let mut row: Vec<(usize, f64)> = carry_ref.rows[oj]
-                                .iter()
-                                .filter_map(|&(oi, d)| stable_new[oi].map(|ni| (ni, d)))
-                                .collect();
-                            // The grid's inclusive membership test, then
-                            // the batched one-to-many kernel with the same
-                            // pickup-as-origin orientation as the fresh
-                            // row, so patched and fresh entries stay
-                            // bit-identical.
-                            let survivors: Vec<(usize, Point)> = changed
-                                .iter()
-                                .filter(|&&(_, pos)| pos.euclidean(r.pickup) <= radius)
-                                .copied()
-                                .collect();
-                            let locations: Vec<Point> =
-                                survivors.iter().map(|&(_, pos)| pos).collect();
-                            let mut dists = vec![0.0f64; locations.len()];
-                            metric.distances_into(r.pickup, &locations, &mut dists);
-                            row.extend(survivors.iter().zip(&dists).map(|(&(ni, _), &d)| (ni, d)));
-                            row
-                        };
-                        row.sort_by(|a, b| {
-                            a.1.partial_cmp(&b.1)
-                                .unwrap_or(std::cmp::Ordering::Equal)
-                                .then(a.0.cmp(&b.0))
-                        });
-                        return (row, trip);
-                    }
-                }
-            }
-            Self::fresh_row(metric, params, taxis, r, grid)
-        });
-
-        let mut rows = Vec::with_capacity(n_r);
-        let mut trips = Vec::with_capacity(n_r);
-        for (row, trip) in rows_trips {
-            rows.push(row);
-            trips.push(trip);
-        }
-        carry.params = Some(*params);
-        carry.taxis = taxis.iter().map(|t| (t.id, t.location)).collect();
-        carry.requests = requests
-            .iter()
-            .map(|r| (r.id, r.pickup, r.dropoff))
-            .collect();
-        carry.rows = rows.clone();
-        carry.trips = trips.clone();
-        SparsePickupDistances {
-            n_requests: n_r,
-            n_taxis: n_t,
-            rows,
-            trips,
-        }
     }
+}
 
-    /// One request's fresh candidate row: grid prefilter, exact metric
-    /// distances, `(distance, index)` sort. Shared by [`Self::compute`]
-    /// and the fallback path of [`Self::compute_incremental`].
-    fn fresh_row<M: Metric>(
-        metric: &M,
-        params: &PreferenceParams,
-        taxis: &[Taxi],
-        r: &Request,
-        grid: &GridIndex<usize>,
-    ) -> (Vec<(usize, f64)>, f64) {
-        let trip = r.trip_distance(metric);
-        // Inflate to absorb the rounding of `d − α·trip` vs
-        // `θ_t + α·trip`; exact filters run on metric distances later.
-        let radius = candidate_radius(params, trip);
-        let mut row: Vec<(usize, f64)> = if radius.is_nan() || radius < 0.0 {
-            Vec::new()
-        } else {
-            // Grid radius query, then the batched one-to-many kernel over
-            // the surviving candidates (pickup as the shared origin; see
-            // PickupDistances::compute).
-            let neighbors = grid.within(r.pickup, radius);
-            let locations: Vec<Point> = neighbors.iter().map(|n| taxis[n.item].location).collect();
-            let mut dists = vec![0.0f64; locations.len()];
-            metric.distances_into(r.pickup, &locations, &mut dists);
-            neighbors
-                .iter()
-                .zip(&dists)
-                .map(|(n, &d)| (n.item, d))
-                .collect()
+/// The frame's row pass: one fused pass per request from candidates to a
+/// finished arena row.
+struct RowPass<'a, M> {
+    metric: &'a M,
+    params: &'a PreferenceParams,
+    taxis: &'a [Taxi],
+    requests: &'a [Request],
+    grid: &'a GridIndex<usize>,
+    /// The previous frame, or `None` when nothing can be carried (first
+    /// frame, changed params, ambiguous taxi ids).
+    carry: Option<&'a CandidateCarry>,
+    /// Expected entries per request (the previous frame's mean), to size
+    /// a part's buffers once.
+    entries_per_row: usize,
+}
+
+impl<M: Metric> RowPass<'_, M> {
+    /// Builds the arena rows of `requests[range]`.
+    fn build(&self, range: Range<usize>) -> ArenaPart {
+        let entries = range.len() * self.entries_per_row;
+        let mut part = ArenaPart {
+            rows: KeyedRows::with_capacity(range.len(), entries),
+            pickup: Vec::with_capacity(entries),
+            trips: Vec::with_capacity(range.len()),
+            fresh: 0,
         };
-        // Same total order as the dense row sort: metric distance,
-        // then taxi index.
-        row.sort_by(|a, b| {
-            a.1.partial_cmp(&b.1)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.0.cmp(&b.0))
+        let mut scratch = RowScratch::default();
+        for j in range {
+            let r = &self.requests[j];
+            let trip = match self.carried(r) {
+                Some((oj, trip)) => {
+                    self.carried_row(r, oj, trip, &mut scratch);
+                    trip
+                }
+                None => {
+                    part.fresh += 1;
+                    self.fresh_row(r, &mut scratch)
+                }
+            };
+            for e in &scratch.row {
+                part.rows.push(e.taxi, e.score);
+                part.pickup.push(e.pickup);
+            }
+            part.rows.end_row();
+            part.trips.push(trip);
+        }
+        part
+    }
+
+    /// The previous frame's index and trip distance of a request carried
+    /// unchanged: same id, bit-identical pick-up and drop-off (hence the
+    /// same trip and radius), same party size. Duplicate request ids are
+    /// harmless: any old request passing this check carries the right row
+    /// for this request.
+    fn carried(&self, r: &Request) -> Option<(usize, f64)> {
+        let prev = self.carry?;
+        let &oj = prev.request_at.get(&r.id)?;
+        let old = &prev.requests[oj];
+        (same_bits(old.pickup, r.pickup)
+            && same_bits(old.dropoff, r.dropoff)
+            && old.passengers == r.passengers)
+            .then(|| (oj, prev.trips[oj]))
+    }
+
+    /// A fresh row: the grid's inclusive Euclidean prefilter, the batched
+    /// metric kernel, the fused seats/θ filters, one sort. Returns the
+    /// request's trip distance.
+    fn fresh_row(&self, r: &Request, scratch: &mut RowScratch) -> f64 {
+        let trip = r.trip_distance(self.metric);
+        // Inflated to absorb the rounding of `d − α·trip` vs
+        // `θ_t + α·trip`; the exact filters run on metric distances.
+        let radius = candidate_radius(self.params, trip);
+        scratch.taxis.clear();
+        scratch.locations.clear();
+        let taxis = self.taxis;
+        // The visitor yields candidates in grid discovery order, unsorted:
+        // the row is ordered by metric distance below anyway.
+        self.grid.for_each_within(r.pickup, radius, |&i, _| {
+            if taxis[i].seats >= r.passengers {
+                scratch.taxis.push(i);
+                scratch.locations.push(taxis[i].location);
+            }
         });
-        (row, trip)
+        scratch.admit(self.metric, self.params, r.pickup, trip);
+        std::mem::swap(&mut scratch.row, &mut scratch.admitted);
+        scratch.row.sort_unstable_by_key(nearest_key);
+        trip
+    }
+
+    /// Patches old row `oj` into this frame's row for `r`.
+    ///
+    /// A row is a pure function of `(pickup, radius, taxi positions and
+    /// seats)`: membership is the grid's inclusive Euclidean test
+    /// `‖t_i − r_j^s‖ ≤ radius` plus the exact filters, costs are exact
+    /// metric distances, and the order is `(distance, index)`. So the new
+    /// row is the old one with the entries of departed, moved or
+    /// re-seated taxis dropped, merged with every changed taxi that passes
+    /// the same tests now — bit-identical to a fresh row at the cost of
+    /// the changed taxis rather than the whole candidate set.
+    fn carried_row(&self, r: &Request, oj: usize, trip: f64, scratch: &mut RowScratch) {
+        let carry = self.carry.expect("only carried requests get here");
+        let prev = &carry.arena;
+        scratch.row.clear();
+        let radius = candidate_radius(self.params, trip);
+        if radius.is_nan() || radius < 0.0 {
+            return;
+        }
+        // Survivors, already in (distance, old index) order.
+        let span = prev.rows.span(oj);
+        for ((&oi, &score), &d) in prev
+            .rows
+            .entries(oj)
+            .iter()
+            .zip(prev.rows.keys(oj))
+            .zip(&prev.pickup[span])
+        {
+            let ni = carry.stable_new[oi];
+            if ni != usize::MAX {
+                scratch.row.push(Entry {
+                    taxi: ni,
+                    pickup: d,
+                    score,
+                });
+            }
+        }
+        // Stationary taxis keep their relative order between frames when
+        // the taxi slice only gains and loses members; re-sort only when
+        // the re-indexing reordered two equidistant survivors.
+        if !scratch.row.is_sorted_by_key(nearest_key) {
+            scratch.row.sort_unstable_by_key(nearest_key);
+        }
+        // Changed taxis: the grid's inclusive membership test, then the
+        // batched kernel with the same pickup-as-origin orientation as a
+        // fresh row, so patched and fresh entries stay bit-identical.
+        scratch.taxis.clear();
+        scratch.locations.clear();
+        let disk = Disk::new(r.pickup, radius);
+        for &(ni, pos) in &carry.changed {
+            if disk.contains(pos) && self.taxis[ni].seats >= r.passengers {
+                scratch.taxis.push(ni);
+                scratch.locations.push(pos);
+            }
+        }
+        if scratch.taxis.is_empty() {
+            return;
+        }
+        scratch.admit(self.metric, self.params, r.pickup, trip);
+        scratch.admitted.sort_unstable_by_key(nearest_key);
+        // Merge the two sorted runs (their taxis are disjoint, so the
+        // order is strict).
+        let survivors = std::mem::take(&mut scratch.row);
+        let (mut a, mut b) = (0, 0);
+        while a < survivors.len() && b < scratch.admitted.len() {
+            if nearest_key(&scratch.admitted[b]) < nearest_key(&survivors[a]) {
+                scratch.row.push(scratch.admitted[b]);
+                b += 1;
+            } else {
+                scratch.row.push(survivors[a]);
+                a += 1;
+            }
+        }
+        scratch.row.extend_from_slice(&survivors[a..]);
+        scratch.row.extend_from_slice(&scratch.admitted[b..]);
     }
 }
 
@@ -637,25 +618,47 @@ fn same_bits(a: Point, b: Point) -> bool {
     a.x.to_bits() == b.x.to_bits() && a.y.to_bits() == b.y.to_bits()
 }
 
-/// Cross-frame carry of sparse candidate rows for
-/// [`SparsePickupDistances::compute_incremental`]: the previous frame's
-/// taxis, requests, rows and trip distances, keyed by stable identities so
-/// index churn between frames never mis-maps an entry.
+/// Id → frame-index map of the carry. The maps are only probed, never
+/// iterated, so the Fx-style hash cannot change a result; it costs a
+/// fraction of the default SipHash.
+type IdMap<K> = HashMap<K, usize, BuildHasherDefault<BitsHasher>>;
+
+/// Cross-frame carry for [`SparsePreferenceModel::build_incremental`]: the
+/// previous frame's taxis, requests, candidate arena and trip distances,
+/// keyed by stable identities so index churn between frames never
+/// mis-maps an entry.
 ///
 /// Owned by [`crate::IncrementalState`]; an empty carry (or one recorded
 /// under different [`PreferenceParams`]) simply makes every request take
-/// the fresh grid path.
+/// the fresh grid path. The id maps are built once per frame and kept for
+/// the next one; exactness requires only that the carry is always fed
+/// through the **same metric** (it revalidates params itself).
 #[derive(Debug, Clone, Default)]
 pub struct CandidateCarry {
     params: Option<PreferenceParams>,
-    /// Previous frame's `(id, location)` per taxi index.
-    taxis: Vec<(TaxiId, Point)>,
-    /// Previous frame's `(id, pickup, dropoff)` per request index.
-    requests: Vec<(RequestId, Point, Point)>,
-    /// Previous frame's candidate rows (old taxi indices).
-    rows: Vec<Vec<(usize, f64)>>,
-    /// Previous frame's trip distances.
+    /// Previous frame's taxis, by index.
+    taxis: Vec<Taxi>,
+    /// Previous frame's requests, by index.
+    requests: Vec<Request>,
+    /// Previous frame's arena (shared with that frame's model).
+    arena: CandidateArena,
+    /// Previous frame's trip distances, by request index.
     trips: Vec<f64>,
+    /// Previous frame's taxi id → index.
+    taxi_at: IdMap<TaxiId>,
+    /// Whether the previous frame's taxi ids were all distinct.
+    taxis_unique: bool,
+    /// Previous frame's request id → index (the last one, for duplicates).
+    request_at: IdMap<RequestId>,
+    /// This frame's taxi id → index, built while the previous frame's map
+    /// is still read; swapped in at the end of the frame.
+    next_taxi_at: IdMap<TaxiId>,
+    /// This frame's request id → index (see `next_taxi_at`).
+    next_request_at: IdMap<RequestId>,
+    /// Working memory: old taxi index → current index, or `usize::MAX`.
+    stable_new: Vec<usize>,
+    /// Working memory: current taxis that are new, moved or re-seated.
+    changed: Vec<(usize, Point)>,
 }
 
 impl CandidateCarry {
@@ -669,6 +672,69 @@ impl CandidateCarry {
     pub fn clear(&mut self) {
         *self = CandidateCarry::default();
     }
+
+    /// Maps the carried frame onto this one: fills `stable_new` and
+    /// `changed`, builds this frame's id maps, and returns whether rows
+    /// may be carried at all. Ambiguous (duplicate) taxi ids on either
+    /// side disable reuse for the whole frame — a duplicate id could map
+    /// one old row entry to the wrong taxi.
+    fn map_frame(
+        &mut self,
+        params: &PreferenceParams,
+        taxis: &[Taxi],
+        requests: &[Request],
+    ) -> bool {
+        self.next_taxi_at.clear();
+        let mut unique = true;
+        for (i, t) in taxis.iter().enumerate() {
+            if self.next_taxi_at.insert(t.id, i).is_some() {
+                unique = false;
+            }
+        }
+        self.next_request_at.clear();
+        self.next_request_at
+            .extend(requests.iter().enumerate().map(|(j, r)| (r.id, j)));
+        let usable = unique && self.taxis_unique && self.params == Some(*params);
+        self.taxis_unique = unique;
+        self.stable_new.clear();
+        self.changed.clear();
+        if !usable {
+            return false;
+        }
+        self.stable_new.resize(self.taxis.len(), usize::MAX);
+        for (i, t) in taxis.iter().enumerate() {
+            match self.taxi_at.get(&t.id) {
+                Some(&oi)
+                    if same_bits(self.taxis[oi].location, t.location)
+                        && self.taxis[oi].seats == t.seats =>
+                {
+                    self.stable_new[oi] = i;
+                }
+                _ => self.changed.push((i, t.location)),
+            }
+        }
+        true
+    }
+
+    /// Makes this frame the carried one.
+    fn store(
+        &mut self,
+        params: &PreferenceParams,
+        taxis: &[Taxi],
+        requests: &[Request],
+        arena: &CandidateArena,
+        trips: Vec<f64>,
+    ) {
+        self.params = Some(*params);
+        self.taxis.clear();
+        self.taxis.extend_from_slice(taxis);
+        self.requests.clear();
+        self.requests.extend_from_slice(requests);
+        self.arena = arena.clone();
+        self.trips = trips;
+        std::mem::swap(&mut self.taxi_at, &mut self.next_taxi_at);
+        std::mem::swap(&mut self.request_at, &mut self.next_request_at);
+    }
 }
 
 /// Sparse preference orders of one dispatch frame.
@@ -677,18 +743,17 @@ impl CandidateCarry {
 /// *mutually acceptable* pairs: every algorithm on
 /// [`SparsePreferenceModel::instance`] yields the same matchings, and every
 /// reported cost is the same float, as the dense model (property-tested in
-/// `tests/sparse_equivalence.rs`). Costs are stored per list entry rather
-/// than as `|R|×|T|` matrices.
+/// `tests/sparse_equivalence.rs`). The costs live in the frame's candidate
+/// arena, one entry per list entry, rather than in `|R|×|T|` matrices.
 #[derive(Debug, Clone)]
 pub struct SparsePreferenceModel {
-    /// The stable-marriage instance (requests propose), with hashmap ranks.
+    /// The stable-marriage instance (requests propose), built from keyed
+    /// rows: each request's list of taxis, each entry keyed by that
+    /// driver's score. Passenger-optimal deferred acceptance runs on the
+    /// keys; the taxi lists are only built if an algorithm asks for them
+    /// (see [`StableInstance::keyed`]).
     pub instance: StableInstance,
-    /// `pickup_costs[j][k]` = `D(t_i, r_j^s)` for `i` = `k`-th entry of
-    /// request `j`'s list.
-    pub pickup_costs: Vec<Vec<f64>>,
-    /// `score_costs[i][k]` = driver score for `j` = `k`-th entry of taxi
-    /// `i`'s list.
-    pub score_costs: Vec<Vec<f64>>,
+    arena: CandidateArena,
 }
 
 impl SparsePreferenceModel {
@@ -721,7 +786,8 @@ impl SparsePreferenceModel {
     ///
     /// Bit-identical for every `par` and for shared vs freshly-built grids
     /// (the grid only prefilters; all accepted/rejected decisions and all
-    /// costs come from exact metric evaluations).
+    /// costs come from exact metric evaluations). The same code as
+    /// [`build_incremental`](Self::build_incremental) with an empty carry.
     ///
     /// # Panics
     ///
@@ -735,28 +801,35 @@ impl SparsePreferenceModel {
         par: Parallelism,
         taxi_grid: Option<&GridIndex<usize>>,
     ) -> Self {
-        let _span = obs::span("preference_build");
-        params.validate().expect("invalid preference parameters");
-        let owned;
-        let grid = match taxi_grid {
-            Some(g) => g,
-            None => {
-                owned = build_taxi_grid(taxis);
-                &owned
-            }
-        };
-        let spd = SparsePickupDistances::compute(metric, params, taxis, requests, grid, par);
-        Self::from_sparse_distances(params, taxis, requests, par, &spd)
+        Self::build_incremental(
+            metric,
+            params,
+            taxis,
+            requests,
+            par,
+            taxi_grid,
+            &mut CandidateCarry::new(),
+        )
     }
 
     /// [`build_with`](Self::build_with), patching the previous frame's
-    /// candidate rows via `carry` (see
-    /// [`SparsePickupDistances::compute_incremental`]). Bit-identical to a
+    /// candidate rows via `carry` instead of re-querying the grid and the
+    /// metric for pairs that cannot have changed. Bit-identical to a
     /// carry-less build for every frame delta.
+    ///
+    /// A request carried unchanged (same id, bit-identical pick-up and
+    /// drop-off, same party size) merges its old row's surviving entries
+    /// with the changed taxis that qualify now; requests that are new or
+    /// moved, and every request when the params changed or either frame's
+    /// taxi ids are ambiguous (duplicates), take the fresh grid path.
+    /// `carry` then holds this frame's arena for the next call. Records
+    /// the `prefs.rows_fresh` / `prefs.rows_carried` counters and the
+    /// `candidate_rows` / `list_filter` spans.
     ///
     /// # Panics
     ///
-    /// Panics if `params` fail [`PreferenceParams::validate`].
+    /// Panics if `params` fail [`PreferenceParams::validate`]. Debug
+    /// builds assert that `taxi_grid` holds one entry per taxi.
     #[must_use]
     pub fn build_incremental<M: Metric>(
         metric: &M,
@@ -777,96 +850,76 @@ impl SparsePreferenceModel {
                 &owned
             }
         };
-        let spd = SparsePickupDistances::compute_incremental(
-            metric, params, taxis, requests, grid, par, carry,
+        debug_assert_eq!(
+            grid.len(),
+            taxis.len(),
+            "taxi grid does not match the taxi slice"
         );
-        Self::from_sparse_distances(params, taxis, requests, par, &spd)
+        let n_r = requests.len();
+
+        let part = {
+            let _rows = obs::span("candidate_rows");
+            let usable = carry.map_frame(params, taxis, requests);
+            let pass = RowPass {
+                metric,
+                params,
+                taxis,
+                requests,
+                grid,
+                carry: usable.then_some(&*carry),
+                entries_per_row: carry
+                    .arena
+                    .rows
+                    .len()
+                    .div_ceil(carry.arena.rows.rows().max(1)),
+            };
+            // Contiguous request ranges, one per worker; parts come back in
+            // range order, so the arena is the same for every thread count.
+            let mut parts = par_map_ranges(par, n_r, |range| pass.build(range)).into_iter();
+            let mut all = parts.next().unwrap_or_default();
+            for part in parts {
+                all.rows.append(&part.rows);
+                all.pickup.extend_from_slice(&part.pickup);
+                all.trips.extend_from_slice(&part.trips);
+                all.fresh += part.fresh;
+            }
+            all
+        };
+        obs::add_many(&[
+            ("prefs.rows_fresh", part.fresh),
+            ("prefs.rows_carried", n_r as u64 - part.fresh),
+        ]);
+
+        let _lists = obs::span("list_filter");
+        let arena = CandidateArena {
+            rows: Arc::new(part.rows),
+            pickup: Arc::new(part.pickup),
+        };
+        let instance = StableInstance::keyed(Arc::clone(&arena.rows), taxis.len())
+            .expect("arena rows are in range, duplicate-free and NaN-free");
+        carry.store(params, taxis, requests, &arena, part.trips);
+        SparsePreferenceModel { instance, arena }
     }
 
-    /// Builds the model from precomputed sparse distances.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `params` fail [`PreferenceParams::validate`] or `spd` has
-    /// the wrong shape.
+    /// Total number of candidate pairs — the sparse analogue of `|R|·|T|`;
+    /// benchmark reports use the ratio as the pruning factor.
     #[must_use]
-    pub fn from_sparse_distances(
-        params: &PreferenceParams,
-        taxis: &[Taxi],
-        requests: &[Request],
-        par: Parallelism,
-        spd: &SparsePickupDistances,
-    ) -> Self {
-        params.validate().expect("invalid preference parameters");
-        let n_r = requests.len();
-        let n_t = taxis.len();
-        assert_eq!(
-            spd.shape(),
-            (n_r, n_t),
-            "sparse pickup-distance shape mismatch"
-        );
+    pub fn candidate_count(&self) -> usize {
+        self.arena.rows.len()
+    }
 
-        // Passenger side: apply the exact (dense-identical) filters to the
-        // prefiltered candidates. Rows are already in (distance, index)
-        // order, the dense list order restricted to a subset.
-        type Row = (Vec<usize>, Vec<f64>, Vec<f64>);
-        let rows: Vec<Row> = par_map(par, (0..n_r).collect(), |j| {
-            let r = &requests[j];
-            let trip = spd.trip(j);
-            let mut list = Vec::new();
-            let mut costs = Vec::new();
-            let mut scores = Vec::new();
-            for &(i, d) in spd.row(j) {
-                let score = d - params.alpha * trip;
-                if taxis[i].seats >= r.passengers
-                    && d <= params.passenger_threshold
-                    && score <= params.taxi_threshold
-                {
-                    list.push(i);
-                    costs.push(d);
-                    scores.push(score);
-                }
-            }
-            (list, costs, scores)
-        });
+    /// `D(t_i, r_j^s)` for each entry of request `j`'s list, in list
+    /// order.
+    #[must_use]
+    pub fn pickup_costs(&self, request: usize) -> &[f64] {
+        &self.arena.pickup[self.arena.rows.span(request)]
+    }
 
-        // Driver side: scatter each accepted (request, score) pair into
-        // its taxi's bucket in request order, then sort per taxi by
-        // (score, request index) — a stable sort with the dense
-        // comparator, so each taxi list is the dense list restricted to
-        // mutual pairs, in the same order.
-        let mut request_lists = Vec::with_capacity(n_r);
-        let mut pickup_costs = Vec::with_capacity(n_r);
-        let mut buckets: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n_t];
-        for (j, (list, costs, scores)) in rows.into_iter().enumerate() {
-            for (&i, &score) in list.iter().zip(&scores) {
-                buckets[i].push((j, score));
-            }
-            request_lists.push(list);
-            pickup_costs.push(costs);
-        }
-        let cols: Vec<(Vec<usize>, Vec<f64>)> = par_map(par, buckets, |mut bucket| {
-            bucket.sort_by(|a, b| {
-                a.1.partial_cmp(&b.1)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(a.0.cmp(&b.0))
-            });
-            bucket.into_iter().unzip()
-        });
-        let mut taxi_lists = Vec::with_capacity(n_t);
-        let mut score_costs = Vec::with_capacity(n_t);
-        for (list, scores) in cols {
-            taxi_lists.push(list);
-            score_costs.push(scores);
-        }
-
-        let instance = StableInstance::new_sparse(request_lists, taxi_lists)
-            .expect("generated lists are in range and duplicate-free");
-        SparsePreferenceModel {
-            instance,
-            pickup_costs,
-            score_costs,
-        }
+    /// The driver score `D(t_i, r_j^s) − α·D(r_j^s, r_j^d)` for each entry
+    /// of request `j`'s list, in list order.
+    #[must_use]
+    pub fn scores(&self, request: usize) -> &[f64] {
+        self.arena.rows.keys(request)
     }
 
     /// `D(t_i, r_j^s)` for a pair on request `j`'s list, or `None` when
@@ -874,15 +927,15 @@ impl SparsePreferenceModel {
     #[must_use]
     pub fn pickup(&self, request: usize, taxi: usize) -> Option<f64> {
         let k = self.instance.proposer_rank_of(request, taxi)?;
-        Some(self.pickup_costs[request][k as usize])
+        Some(self.pickup_costs(request)[k as usize])
     }
 
-    /// Driver score for a pair on taxi `i`'s list, or `None` when the pair
-    /// is not mutually acceptable.
+    /// Driver score for a mutually acceptable pair, or `None` when the
+    /// pair is not mutually acceptable.
     #[must_use]
     pub fn score(&self, taxi: usize, request: usize) -> Option<f64> {
-        let k = self.instance.reviewer_rank_of(taxi, request)?;
-        Some(self.score_costs[taxi][k as usize])
+        let k = self.instance.proposer_rank_of(request, taxi)?;
+        Some(self.scores(request)[k as usize])
     }
 }
 
@@ -891,6 +944,7 @@ mod tests {
     use super::*;
     use o2o_geo::{Euclidean, Point};
     use o2o_trace::{RequestId, TaxiId};
+    use std::cmp::Ordering;
 
     fn taxi(id: u64, x: f64, y: f64) -> Taxi {
         Taxi::new(TaxiId(id), Point::new(x, y))
@@ -1142,11 +1196,33 @@ mod tests {
         assert!(m.instance.proposer_list(0).is_empty());
     }
 
+    /// Asserts two sparse models hold the same lists and costs, bit for
+    /// bit.
+    fn assert_same_model(a: &SparsePreferenceModel, b: &SparsePreferenceModel, ctx: &str) {
+        assert_eq!(a.instance.proposers(), b.instance.proposers(), "{ctx}");
+        assert_eq!(a.instance.reviewers(), b.instance.reviewers(), "{ctx}");
+        for j in 0..a.instance.proposers() {
+            assert_eq!(
+                a.instance.proposer_list(j),
+                b.instance.proposer_list(j),
+                "{ctx}: request {j}"
+            );
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(a.pickup_costs(j)),
+                bits(b.pickup_costs(j)),
+                "{ctx}: request {j}"
+            );
+            assert_eq!(bits(a.scores(j)), bits(b.scores(j)), "{ctx}: request {j}");
+        }
+    }
+
     #[test]
     fn incremental_rows_match_fresh_compute_under_churn() {
         // Roll frames with every kind of delta — taxis moving, departing,
-        // arriving; requests replaced — and pin the patched rows to a
-        // fresh compute each frame.
+        // arriving, re-seating and swapping places in the slice; requests
+        // replaced or re-partied — and pin the patched arena to a cold
+        // build each frame.
         let params = PreferenceParams::paper();
         let mut taxis: Vec<Taxi> = (0..14)
             .map(|i| {
@@ -1169,26 +1245,26 @@ mod tests {
             })
             .collect();
         let mut carry = CandidateCarry::new();
-        for frame in 0..8 {
+        for frame in 0..10 {
             let grid = build_taxi_grid(&taxis);
-            let fresh = SparsePickupDistances::compute(
+            let fresh = SparsePreferenceModel::build_with(
                 &Euclidean,
                 &params,
                 &taxis,
                 &requests,
-                &grid,
                 Parallelism::sequential(),
+                Some(&grid),
             );
-            let patched = SparsePickupDistances::compute_incremental(
+            let patched = SparsePreferenceModel::build_incremental(
                 &Euclidean,
                 &params,
                 &taxis,
                 &requests,
-                &grid,
                 Parallelism::sequential(),
+                Some(&grid),
                 &mut carry,
             );
-            assert_eq!(patched, fresh, "frame {frame} diverged");
+            assert_same_model(&patched, &fresh, &format!("frame {frame}"));
 
             // Mutate for the next frame: move one taxi, drop one, add one,
             // replace one request.
@@ -1208,6 +1284,52 @@ mod tests {
                 frame as f64 * 0.3,
                 frame as f64 * 0.2 - 1.0,
             );
+            match frame % 3 {
+                // Reorder the slice: survivors change relative order.
+                0 => taxis.swap(1, 5),
+                // Same place, fewer seats; a bigger party.
+                1 => {
+                    taxis[2].seats = 1;
+                    requests[3].passengers = 3;
+                }
+                _ => taxis.reverse(),
+            }
+        }
+    }
+
+    #[test]
+    fn incremental_rows_handle_ties_and_co_located_taxis() {
+        // Integer lattice: many equal pick-up distances, equal scores
+        // across requests, and pairs of taxis at one point. The merge of
+        // carried and admitted entries must order ties by taxi index
+        // exactly like a cold build.
+        let params = PreferenceParams::paper();
+        let mut taxis: Vec<Taxi> = (0..16)
+            .map(|i| taxi(i, f64::from((i % 4) as u8), f64::from((i / 4 % 2) as u8)))
+            .collect();
+        let requests: Vec<Request> = (0..8)
+            .map(|j| {
+                let x = f64::from((j % 3) as u8);
+                request(j, x, 1.0, x + 2.0, 1.0)
+            })
+            .collect();
+        let mut carry = CandidateCarry::new();
+        for frame in 0..8usize {
+            let grid = build_taxi_grid(&taxis);
+            let fresh = SparsePreferenceModel::build(&Euclidean, &params, &taxis, &requests);
+            let patched = SparsePreferenceModel::build_incremental(
+                &Euclidean,
+                &params,
+                &taxis,
+                &requests,
+                Parallelism::sequential(),
+                Some(&grid),
+                &mut carry,
+            );
+            assert_same_model(&patched, &fresh, &format!("frame {frame}"));
+            // Hop one taxi onto another lattice point each frame.
+            let k = (frame * 5) % taxis.len();
+            taxis[k].location = Point::new(f64::from((frame % 4) as u8), 0.0);
         }
     }
 
@@ -1221,35 +1343,96 @@ mod tests {
         let mut carry = CandidateCarry::new();
         let a = PreferenceParams::paper();
         let b = PreferenceParams::paper().with_passenger_threshold(1.5);
-        let _ = SparsePickupDistances::compute_incremental(
+        let _ = SparsePreferenceModel::build_incremental(
             &Euclidean,
             &a,
             &taxis,
             &requests,
-            &grid,
             Parallelism::sequential(),
+            Some(&grid),
             &mut carry,
         );
         // Same frame, different params: the carried rows (computed under
-        // `a`'s radius) must not leak into `b`'s rows.
-        let patched = SparsePickupDistances::compute_incremental(
-            &Euclidean,
-            &b,
-            &taxis,
-            &requests,
-            &grid,
-            Parallelism::sequential(),
-            &mut carry,
-        );
-        let fresh = SparsePickupDistances::compute(
-            &Euclidean,
-            &b,
-            &taxis,
-            &requests,
-            &grid,
-            Parallelism::sequential(),
-        );
-        assert_eq!(patched, fresh);
+        // `a`'s radius and filters) must not leak into `b`'s rows.
+        let rec = obs::Recorder::new();
+        let patched = {
+            let _scope = obs::scope(&rec);
+            SparsePreferenceModel::build_incremental(
+                &Euclidean,
+                &b,
+                &taxis,
+                &requests,
+                Parallelism::sequential(),
+                Some(&grid),
+                &mut carry,
+            )
+        };
+        assert_eq!(rec.counter("prefs.rows_fresh"), 4);
+        assert_eq!(rec.counter("prefs.rows_carried"), 0);
+        let fresh = SparsePreferenceModel::build(&Euclidean, &b, &taxis, &requests);
+        assert_same_model(&patched, &fresh, "param change");
+    }
+
+    /// The taxi lists as the pre-keyed builder made them: scatter each
+    /// mutual `(request, score)` pair into its taxi's bucket in request
+    /// order, then stable-sort each bucket by `(score, request)`.
+    fn bucket_sorted_taxi_lists(m: &SparsePreferenceModel) -> Vec<Vec<usize>> {
+        let mut buckets: Vec<Vec<(usize, f64)>> = vec![Vec::new(); m.instance.reviewers()];
+        for j in 0..m.instance.proposers() {
+            for (&i, &score) in m.instance.proposer_list(j).iter().zip(m.scores(j)) {
+                buckets[i].push((j, score));
+            }
+        }
+        buckets
+            .into_iter()
+            .map(|mut bucket| {
+                bucket.sort_by(|a, b| {
+                    a.1.partial_cmp(&b.1)
+                        .unwrap_or(Ordering::Equal)
+                        .then(a.0.cmp(&b.0))
+                });
+                bucket.into_iter().map(|(j, _)| j).collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn lazy_taxi_lists_equal_bucket_sorted_lists() {
+        // Lattice frame with equal scores across requests (same pick-up
+        // distance, same trip), so ties must go to the lower request.
+        let taxis: Vec<Taxi> = (0..9)
+            .map(|i| taxi(i, f64::from((i % 3) as u8), f64::from((i / 3) as u8)))
+            .chain((9..12).map(|i| taxi(i, 1.0, 1.0)))
+            .collect();
+        let requests: Vec<Request> = (0..10)
+            .map(|j| {
+                let (x, y) = (f64::from((j % 3) as u8), f64::from((j % 2) as u8));
+                request(j, x, y, x, y + f64::from((j % 4) as u8))
+            })
+            .collect();
+        for params in [
+            PreferenceParams::paper(),
+            PreferenceParams::unbounded(),
+            PreferenceParams::paper().with_taxi_threshold(0.0),
+        ] {
+            let rec = obs::Recorder::new();
+            let _scope = obs::scope(&rec);
+            let m = SparsePreferenceModel::build(&Euclidean, &params, &taxis, &requests);
+            // Passenger-optimal deferred acceptance never builds them.
+            let _ = m.instance.propose();
+            assert_eq!(rec.counter("match.taxi_side_built"), 0);
+            let expect = bucket_sorted_taxi_lists(&m);
+            for (i, list) in expect.iter().enumerate() {
+                assert_eq!(m.instance.reviewer_list(i), list.as_slice(), "taxi {i}");
+                for (k, &j) in list.iter().enumerate() {
+                    assert_eq!(m.instance.reviewer_rank_of(i, j), Some(k as u32));
+                }
+            }
+            // Built once, for the lists, the ranks and the role swap alike.
+            let _ = m.instance.reviewer_optimal();
+            let _ = m.instance.swapped();
+            assert_eq!(rec.counter("match.taxi_side_built"), 1);
+        }
     }
 
     #[test]

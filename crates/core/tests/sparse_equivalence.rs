@@ -13,7 +13,8 @@
 //! threshold setting.
 
 use o2o_core::{
-    build_taxi_grid, CandidateMode, NonSharingDispatcher, PreferenceParams, SparsePreferenceModel,
+    build_taxi_grid, candidate_radius, CandidateMode, NonSharingDispatcher, PreferenceParams,
+    SparsePreferenceModel,
 };
 use o2o_geo::{Euclidean, Point};
 use o2o_par::Parallelism;
@@ -171,8 +172,10 @@ proptest! {
                         par.instance.reviewer_list(i), seq.instance.reviewer_list(i)
                     );
                 }
-                prop_assert_eq!(&par.pickup_costs, &seq.pickup_costs);
-                prop_assert_eq!(&par.score_costs, &seq.score_costs);
+                for j in 0..seq.instance.proposers() {
+                    prop_assert_eq!(par.pickup_costs(j), seq.pickup_costs(j));
+                    prop_assert_eq!(par.scores(j), seq.scores(j));
+                }
             }
         }
     }
@@ -198,17 +201,205 @@ fn sparse_matches_dense_at_paper_thresholds_wide_city() {
         sparse.taxi_optimal(&taxis, &requests),
         dense.taxi_optimal(&taxis, &requests)
     );
-    // The sweep is only meaningful if pruning actually happened.
-    let spd = o2o_core::SparsePickupDistances::compute(
-        &Euclidean,
-        &params,
-        &taxis,
-        &requests,
-        &build_taxi_grid(&taxis),
-        Parallelism::sequential(),
-    );
+    // The sweep is only meaningful if the grid prefilter actually pruned
+    // (the θ filters alone would drop pairs at these thresholds too).
+    let grid = build_taxi_grid(&taxis);
+    let prefiltered: usize = requests
+        .iter()
+        .map(|r| {
+            let radius = candidate_radius(&params, r.trip_distance(&Euclidean));
+            grid.within(r.pickup, radius).len()
+        })
+        .sum();
     assert!(
-        spd.candidate_count() < taxis.len() * requests.len(),
+        prefiltered < taxis.len() * requests.len(),
         "expected pruning at paper thresholds over a 80×80 city"
     );
+}
+
+/// A tie-heavy frame: taxis and pick-ups on a small integer lattice (many
+/// equal pick-up distances), trips of one to three whole blocks (equal
+/// driver scores across requests), and every third taxi co-located with
+/// the one before it.
+fn lattice_frame(seed: u64, nt: usize, nr: usize) -> (Vec<Taxi>, Vec<Request>) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let lattice = |rng: &mut StdRng| {
+        Point::new(
+            f64::from(rng.gen_range(0u8..5)),
+            f64::from(rng.gen_range(0u8..5)),
+        )
+    };
+    let mut taxis: Vec<Taxi> = Vec::with_capacity(nt);
+    for i in 0..nt {
+        let at = if i % 3 == 2 {
+            taxis[i - 1].location
+        } else {
+            lattice(&mut rng)
+        };
+        let mut t = Taxi::new(TaxiId(i as u64), at);
+        t.seats = rng.gen_range(1..=4);
+        taxis.push(t);
+    }
+    let requests = (0..nr)
+        .map(|j| {
+            let pickup = lattice(&mut rng);
+            let blocks = f64::from(rng.gen_range(1u8..=3));
+            let dropoff = if rng.gen_bool(0.5) {
+                Point::new(pickup.x + blocks, pickup.y)
+            } else {
+                Point::new(pickup.x, pickup.y - blocks)
+            };
+            let mut r = Request::new(RequestId(j as u64), 0, pickup, dropoff);
+            r.passengers = rng.gen_range(1..=2);
+            r
+        })
+        .collect();
+    (taxis, requests)
+}
+
+/// Thresholds that cut through the lattice's tied distances and scores.
+fn lattice_params() -> Vec<PreferenceParams> {
+    vec![
+        PreferenceParams::paper(),
+        PreferenceParams::paper()
+            .with_passenger_threshold(2.0)
+            .with_taxi_threshold(0.0),
+        PreferenceParams::unbounded().with_taxi_threshold(1.0),
+        PreferenceParams::unbounded(),
+    ]
+}
+
+/// Keyed sparse ≡ dense oracle on tie-heavy frames, for every algorithm
+/// that reads the preference model: passenger-optimal (cold and seeded),
+/// taxi-optimal, the budgeted ladder (cold and warm), the egalitarian and
+/// median compromises, and the sharded pipeline — at 1 and 4 threads.
+#[test]
+fn keyed_sparse_matches_dense_oracle_on_tie_heavy_frames() {
+    use o2o_core::{IncrementalState, ShardMode, ShardSpec, TimeBudget};
+    let unlimited = TimeBudget::unlimited();
+    for seed in 0..24u64 {
+        let (taxis, requests) = lattice_frame(
+            seed,
+            3 + (seed as usize * 5) % 12,
+            2 + (seed as usize * 7) % 13,
+        );
+        let grid = build_taxi_grid(&taxis);
+        for params in lattice_params() {
+            let dense = NonSharingDispatcher::new(Euclidean, params)
+                .with_candidate_mode(CandidateMode::Dense);
+            let p0 = dense.passenger_optimal(&taxis, &requests);
+            let t0 = dense.taxi_optimal(&taxis, &requests);
+            let oracle = dense.preferences(&taxis, &requests);
+            let (p_opt, t_opt) = (
+                oracle.instance.propose(),
+                oracle.instance.reviewer_optimal(),
+            );
+            for threads in [1, 4] {
+                let ctx = format!("seed {seed} threads {threads} params {params:?}");
+                let par = Parallelism::fixed(threads);
+                let sparse = NonSharingDispatcher::new(Euclidean, params)
+                    .with_candidate_mode(CandidateMode::Sparse)
+                    .with_parallelism(par);
+                assert_eq!(sparse.passenger_optimal(&taxis, &requests), p0, "{ctx}");
+                assert_eq!(sparse.taxi_optimal(&taxis, &requests), t0, "{ctx}");
+
+                // Seeded deferred acceptance on the keyed instance, from
+                // the optimal pairs of either side and from garbage.
+                let model = SparsePreferenceModel::build_with(
+                    &Euclidean,
+                    &params,
+                    &taxis,
+                    &requests,
+                    par,
+                    Some(&grid),
+                );
+                let garbage: Vec<(usize, usize)> = (0..requests.len())
+                    .map(|j| (j, (j * 7 + 3) % (taxis.len() + 1)))
+                    .collect();
+                for seed_pairs in [
+                    p_opt.pairs().collect::<Vec<_>>(),
+                    t_opt.pairs().collect(),
+                    garbage,
+                ] {
+                    assert_eq!(model.instance.propose_seeded(&seed_pairs), p_opt, "{ctx}");
+                    assert_eq!(
+                        model.instance.reviewer_optimal_seeded(&seed_pairs),
+                        t_opt,
+                        "{ctx}"
+                    );
+                }
+
+                // The budgeted ladder with an unlimited budget, cold and
+                // warm (twice, so the second call runs on a carry).
+                let (s, d) = sparse.passenger_optimal_budgeted(
+                    &taxis,
+                    &requests,
+                    None,
+                    Some(&grid),
+                    None,
+                    &unlimited,
+                );
+                assert!(d.is_none());
+                assert_eq!(s, p0, "{ctx}");
+                let (s, d) = sparse.taxi_optimal_budgeted(
+                    &taxis,
+                    &requests,
+                    None,
+                    Some(&grid),
+                    None,
+                    &unlimited,
+                );
+                assert!(d.is_none());
+                assert_eq!(s, t0, "{ctx}");
+                let (mut warm_p, mut warm_t) = (IncrementalState::new(), IncrementalState::new());
+                for _ in 0..2 {
+                    let (s, _) = sparse.passenger_optimal_budgeted(
+                        &taxis,
+                        &requests,
+                        None,
+                        Some(&grid),
+                        Some(&mut warm_p),
+                        &unlimited,
+                    );
+                    assert_eq!(s, p0, "{ctx}");
+                    let (s, _) = sparse.taxi_optimal_budgeted(
+                        &taxis,
+                        &requests,
+                        None,
+                        Some(&grid),
+                        Some(&mut warm_t),
+                        &unlimited,
+                    );
+                    assert_eq!(s, t0, "{ctx}");
+                }
+
+                // Compromise schedules.
+                assert_eq!(
+                    sparse.egalitarian(&taxis, &requests, Some(64)),
+                    dense.egalitarian(&taxis, &requests, Some(64)),
+                    "{ctx}"
+                );
+                assert_eq!(
+                    sparse.median(&taxis, &requests, Some(64)),
+                    dense.median(&taxis, &requests, Some(64)),
+                    "{ctx}"
+                );
+
+                // Sharded pipeline.
+                for spec in [ShardSpec::new(4), ShardSpec::new(9).with_padding(1.5)] {
+                    let sharded = sparse.clone().with_shard_mode(ShardMode::Sharded(spec));
+                    assert_eq!(
+                        sharded.passenger_optimal_with_grid(&taxis, &requests, Some(&grid)),
+                        p0,
+                        "{ctx}"
+                    );
+                    assert_eq!(
+                        sharded.taxi_optimal_with_grid(&taxis, &requests, Some(&grid)),
+                        t0,
+                        "{ctx}"
+                    );
+                }
+            }
+        }
+    }
 }

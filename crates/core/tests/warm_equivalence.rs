@@ -190,3 +190,77 @@ fn stationary_frames_carry_the_full_matching() {
     assert_eq!(first, second);
     assert_eq!(state.carried_pairs(), &carried_before[..]);
 }
+
+/// Rolling tie-heavy frames: lattice positions (equal pick-up distances),
+/// whole-block trips (equal driver scores across requests), co-located
+/// taxis, taxis hopping between lattice points, the taxi slice reordered
+/// and requests replaced. Each frame the warm keyed path — carried rows
+/// merged with re-admitted taxis, seeded deferred acceptance — equals the
+/// dense oracle for both NSTD variants, at 1 and 4 threads.
+#[test]
+fn warm_keyed_path_matches_dense_oracle_on_tie_heavy_frames() {
+    fn lattice(rng: &mut StdRng) -> Point {
+        Point::new(
+            f64::from(rng.gen_range(0u8..5)),
+            f64::from(rng.gen_range(0u8..5)),
+        )
+    }
+    fn request(rng: &mut StdRng, id: u64) -> Request {
+        let pickup = lattice(rng);
+        let blocks = f64::from(rng.gen_range(1u8..=3));
+        Request::new(
+            RequestId(id),
+            0,
+            pickup,
+            Point::new(pickup.x + blocks, pickup.y),
+        )
+    }
+    for seed in 0..12u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut taxis: Vec<Taxi> = Vec::new();
+        for i in 0..12u64 {
+            let at = if i % 3 == 2 {
+                taxis[i as usize - 1].location
+            } else {
+                lattice(&mut rng)
+            };
+            taxis.push(Taxi::new(TaxiId(i), at));
+        }
+        let mut requests: Vec<Request> = (0..10).map(|j| request(&mut rng, j)).collect();
+        let mut frames = Vec::new();
+        for k in 0..6u64 {
+            frames.push((taxis.clone(), requests.clone()));
+            let hop = rng.gen_range(0..taxis.len());
+            taxis[hop].location = lattice(&mut rng);
+            if k % 2 == 0 {
+                let last = taxis.len() - 1;
+                taxis.swap(0, last);
+            }
+            let replaced = rng.gen_range(0..requests.len());
+            requests[replaced] = request(&mut rng, 100 + k);
+        }
+        for params in param_grid() {
+            let dense = NonSharingDispatcher::new(Euclidean, params)
+                .with_candidate_mode(CandidateMode::Dense);
+            for threads in [1, 4] {
+                let d = NonSharingDispatcher::new(Euclidean, params)
+                    .with_parallelism(Parallelism::fixed(threads));
+                let mut p_state = IncrementalState::new();
+                let mut t_state = IncrementalState::new();
+                for (f, (taxis, requests)) in frames.iter().enumerate() {
+                    let ctx = format!("seed {seed} frame {f} threads {threads} params {params:?}");
+                    assert_eq!(
+                        d.passenger_optimal_incremental(taxis, requests, None, &mut p_state),
+                        dense.passenger_optimal(taxis, requests),
+                        "{ctx}"
+                    );
+                    assert_eq!(
+                        d.taxi_optimal_incremental(taxis, requests, None, &mut t_state),
+                        dense.taxi_optimal(taxis, requests),
+                        "{ctx}"
+                    );
+                }
+            }
+        }
+    }
+}

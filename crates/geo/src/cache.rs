@@ -33,13 +33,16 @@ use std::sync::Mutex;
 
 use crate::{Metric, Point};
 
-/// Cheap fixed-width hasher for the point-bits keys: one rotate-xor-
-/// multiply round per `u64` (fx-hash style). The keys are raw `f64` bit
-/// patterns of city coordinates — high-entropy in the mantissa bits — so
-/// a full SipHash pass per lookup is wasted work on the hottest path of
-/// the frame loop (a cache *hit* costs little more than this hash).
-#[derive(Default, Clone, Copy)]
-struct BitsHasher(u64);
+/// Cheap fixed-width hasher for integer-like keys: one rotate-xor-
+/// multiply round per `u64` (fx-hash style). The cache's keys are raw
+/// `f64` bit patterns of city coordinates — high-entropy in the mantissa
+/// bits — so a full SipHash pass per lookup is wasted work on the hottest
+/// path of the frame loop (a cache *hit* costs little more than this
+/// hash). Use it through `BuildHasherDefault<BitsHasher>` for maps that
+/// are only probed: it is not DoS-resistant, and iteration order differs
+/// from the default hasher's.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct BitsHasher(u64);
 
 impl std::hash::Hasher for BitsHasher {
     fn finish(&self) -> u64 {

@@ -21,6 +21,65 @@ pub fn heuristic_cell_size(bbox: BBox) -> f64 {
     (bbox.width().max(bbox.height()) / 32.0).max(0.25)
 }
 
+/// The closed disk `{p : p.euclidean(center) ≤ radius}`, tested mostly
+/// without `hypot`.
+///
+/// A squared distance below `radius²·(1 − 1e-9)` is surely inside and one
+/// above `radius²·(1 + 1e-9)` surely outside: the float error of
+/// `dx² + dy²` and of `hypot` is a few ulps, far inside that margin. Only
+/// points in the thin shell between take the exact `hypot` test, so
+/// [`Disk::contains`] answers exactly what `p.euclidean(center) <= radius`
+/// answers. Radii whose square leaves the normal float range (and `NaN`
+/// or infinite radii) take the exact test throughout.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Disk {
+    center: Point,
+    radius: f64,
+    /// Squared distances below this are inside.
+    lo_sq: f64,
+    /// Squared distances above this are outside.
+    hi_sq: f64,
+}
+
+impl Disk {
+    /// The disk of `radius` kilometres around `center`.
+    #[must_use]
+    pub fn new(center: Point, radius: f64) -> Self {
+        let (lo_sq, hi_sq) = if radius > 1e-150 && radius < 1e150 {
+            let r2 = radius * radius;
+            (r2 * (1.0 - 1e-9), r2 * (1.0 + 1e-9))
+        } else {
+            (0.0, f64::INFINITY)
+        };
+        Disk {
+            center,
+            radius,
+            lo_sq,
+            hi_sq,
+        }
+    }
+
+    /// Exactly `p.euclidean(center) <= radius`.
+    #[inline]
+    #[must_use]
+    pub fn contains(&self, p: Point) -> bool {
+        self.within_norm(p.x - self.center.x, p.y - self.center.y)
+    }
+
+    /// Exactly `dx.hypot(dy) <= radius`.
+    #[inline]
+    fn within_norm(&self, dx: f64, dy: f64) -> bool {
+        let d_sq = dx * dx + dy * dy;
+        if d_sq < self.lo_sq {
+            true
+        } else if d_sq > self.hi_sq {
+            false
+        } else {
+            dx.hypot(dy) <= self.radius
+        }
+    }
+}
+
 /// An item returned from a proximity query.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Neighbor<T> {
@@ -184,8 +243,17 @@ impl<T: Clone + PartialEq> GridIndex<T> {
     /// Shared edges/corners give a bound of exactly `0`, never a spurious
     /// positive value that could prune a touching cell.
     fn cell_lower_bound(&self, query: Point, col: usize, row: usize) -> f64 {
-        self.cell_bbox(col, row)
-            .distance_to_point(self.bbox.clamp(query))
+        let (gx, gy) = self.cell_gaps(self.bbox.clamp(query), col, row);
+        gx.hypot(gy)
+    }
+
+    /// Per-axis gaps from the clamped query point `clamped` to cell
+    /// `(col, row)`'s rectangle ([`Self::cell_bbox`]); the cell's lower
+    /// bound is their Euclidean norm.
+    fn cell_gaps(&self, clamped: Point, col: usize, row: usize) -> (f64, f64) {
+        let b = self.cell_bbox(col, row);
+        let near = b.clamp(clamped);
+        (clamped.x - near.x, clamped.y - near.y)
     }
 
     /// Inserts `item` at `location`. Duplicate items are allowed; `remove`
@@ -309,14 +377,14 @@ impl<T: Clone + PartialEq> GridIndex<T> {
                     break;
                 }
             }
-            for (c, r) in self.ring(qc, qr, ring) {
+            self.for_each_ring_cell(qc, qr, ring, |c, r| {
                 // Exact per-cell prune: anything stored here is at least
                 // the cell-bbox lower bound away, so a full result set
                 // whose worst entry beats that bound cannot change. The
                 // strict `>` keeps cells whose bound ties the worst, so
                 // tie-breaking by discovery order is unchanged.
                 if best.len() == k && self.cell_lower_bound(query, c, r) > best[k - 1].distance {
-                    continue;
+                    return;
                 }
                 for (item, loc) in &self.cells[r * self.cols + c] {
                     let d = loc.euclidean(query);
@@ -335,7 +403,7 @@ impl<T: Clone + PartialEq> GridIndex<T> {
                         best.truncate(k);
                     }
                 }
-            }
+            });
         }
         best
     }
@@ -348,46 +416,74 @@ impl<T: Clone + PartialEq> GridIndex<T> {
     /// every stored item.
     #[must_use]
     pub fn within(&self, query: Point, radius: f64) -> Vec<Neighbor<T>> {
-        if radius < 0.0 || radius.is_nan() || self.len == 0 {
-            return Vec::new();
-        }
-        let (qc, qr) = self.cell_of(query);
-        // `radius / cell_size` can overflow usize for huge or infinite
-        // radii (`as usize` saturates to usize::MAX, and a plain `+ 1`
-        // would wrap); saturate and let the `min` below cap the scan at
-        // the whole grid.
-        let rings = (radius / self.cell_size).ceil();
-        let max_ring = if rings < usize::MAX as f64 {
-            (rings as usize).saturating_add(1)
-        } else {
-            usize::MAX
-        };
         let mut out = Vec::new();
-        for ring in 0..=max_ring.min(self.cols.max(self.rows)) {
-            for (c, r) in self.ring(qc, qr, ring) {
-                // Skip cells provably outside the disk. Strict `>` keeps
-                // cells touching the radius exactly (membership below is
-                // inclusive: `d ≤ radius`).
-                if self.cell_lower_bound(query, c, r) > radius {
-                    continue;
-                }
-                for (item, loc) in &self.cells[r * self.cols + c] {
-                    let d = loc.euclidean(query);
-                    if d <= radius {
-                        out.push(Neighbor {
-                            item: item.clone(),
-                            distance: d,
-                        });
-                    }
-                }
-            }
-        }
+        self.for_each_within(query, radius, |item, loc| {
+            out.push(Neighbor {
+                item: item.clone(),
+                distance: loc.euclidean(query),
+            });
+        });
         out.sort_by(|a, b| {
             a.distance
                 .partial_cmp(&b.distance)
                 .unwrap_or(std::cmp::Ordering::Equal)
         });
         out
+    }
+
+    /// Calls `visit(item, location)` for every stored item within
+    /// `radius` kilometres of `query` (inclusive, by the same
+    /// `location.euclidean(query) ≤ radius` test as [`GridIndex::within`]),
+    /// in discovery order: rings outward from the query cell, insertion
+    /// order within a cell. Allocates nothing.
+    ///
+    /// Visits exactly the items `within` returns, which is this order
+    /// stably sorted by distance; a caller that orders the items itself
+    /// (say by a different metric) skips that sort. Empty cells are
+    /// skipped before any arithmetic, and squared distances settle every
+    /// cell and item that is not within a relative `1e-9` of the radius,
+    /// so the exact (`hypot`) test runs only on that thin shell (see
+    /// [`Disk`]).
+    pub fn for_each_within(&self, query: Point, radius: f64, mut visit: impl FnMut(&T, Point)) {
+        if radius < 0.0 || radius.is_nan() || self.len == 0 {
+            return;
+        }
+        let (qc, qr) = self.cell_of(query);
+        // `radius / cell_size` can overflow usize for huge or infinite
+        // radii (`as usize` saturates to usize::MAX, and a plain `+ 1`
+        // would wrap); saturate and let the `min` below cap the scan at
+        // the whole grid. No ring past the farthest grid edge holds a
+        // cell.
+        let rings = (radius / self.cell_size).ceil();
+        let max_ring = if rings < usize::MAX as f64 {
+            (rings as usize).saturating_add(1)
+        } else {
+            usize::MAX
+        };
+        let farthest = qc.max(self.cols - 1 - qc).max(qr).max(self.rows - 1 - qr);
+        let disk = Disk::new(query, radius);
+        let clamped = self.bbox.clamp(query);
+        for ring in 0..=max_ring.min(farthest) {
+            self.for_each_ring_cell(qc, qr, ring, |c, r| {
+                let cell = &self.cells[r * self.cols + c];
+                if cell.is_empty() {
+                    return;
+                }
+                // Skip cells provably outside the disk: every stored point
+                // is at least the cell's gap away (see cell_lower_bound).
+                // Cells touching the radius exactly are kept (membership
+                // below is inclusive: `d ≤ radius`).
+                let (gx, gy) = self.cell_gaps(clamped, c, r);
+                if !disk.within_norm(gx, gy) {
+                    return;
+                }
+                for (item, loc) in cell {
+                    if disk.contains(*loc) {
+                        visit(item, *loc);
+                    }
+                }
+            });
+        }
     }
 
     /// Iterates over all stored `(item, location)` pairs in unspecified
@@ -398,36 +494,40 @@ impl<T: Clone + PartialEq> GridIndex<T> {
             .flat_map(|cell| cell.iter().map(|(i, p)| (i, *p)))
     }
 
-    fn ring(&self, col: usize, row: usize, ring: usize) -> Vec<(usize, usize)> {
-        let mut cells = Vec::new();
-        let c0 = col as isize - ring as isize;
-        let c1 = col as isize + ring as isize;
-        let r0 = row as isize - ring as isize;
-        let r1 = row as isize + ring as isize;
-        let valid = |c: isize, r: isize| {
-            c >= 0 && r >= 0 && (c as usize) < self.cols && (r as usize) < self.rows
-        };
+    /// Calls `f(col, row)` for each in-grid cell of the square ring at
+    /// Chebyshev distance `ring` around `(col, row)`: the top and bottom
+    /// edges column by column, then the side edges row by row. Edges are
+    /// clipped to the grid, so cells outside it cost nothing.
+    fn for_each_ring_cell(
+        &self,
+        col: usize,
+        row: usize,
+        ring: usize,
+        mut f: impl FnMut(usize, usize),
+    ) {
         if ring == 0 {
-            if valid(col as isize, row as isize) {
-                cells.push((col, row));
-            }
-            return cells;
+            f(col, row);
+            return;
         }
-        for c in c0..=c1 {
-            for r in [r0, r1] {
-                if valid(c, r) {
-                    cells.push((c as usize, r as usize));
-                }
+        let (c0, c1) = (col.checked_sub(ring), col + ring);
+        let (r0, r1) = (row.checked_sub(ring), row + ring);
+        let (r1_in, c1_in) = (r1 < self.rows, c1 < self.cols);
+        for c in c0.unwrap_or(0)..=c1.min(self.cols - 1) {
+            if let Some(r0) = r0 {
+                f(c, r0);
             }
-        }
-        for r in (r0 + 1)..r1 {
-            for c in [c0, c1] {
-                if valid(c, r) {
-                    cells.push((c as usize, r as usize));
-                }
+            if r1_in {
+                f(c, r1);
             }
         }
-        cells
+        for r in r0.map_or(0, |r0| r0 + 1)..r1.min(self.rows) {
+            if let Some(c0) = c0 {
+                f(c0, r);
+            }
+            if c1_in {
+                f(c1, r);
+            }
+        }
     }
 }
 
@@ -580,6 +680,117 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_cell_size_panics() {
         let _ = GridIndex::<u32>::new(city(), 0.0);
+    }
+
+    /// `within` as it was before the ring visitor: one `Vec` of cells per
+    /// ring, every cell bounded with `hypot`, every item tested with
+    /// `hypot`, then the stable sort.
+    fn reference_within(idx: &GridIndex<usize>, query: Point, radius: f64) -> Vec<Neighbor<usize>> {
+        if radius < 0.0 || radius.is_nan() || idx.len == 0 {
+            return Vec::new();
+        }
+        let ring_cells = |col: usize, row: usize, ring: usize| -> Vec<(usize, usize)> {
+            let (c0, c1) = (col as isize - ring as isize, col as isize + ring as isize);
+            let (r0, r1) = (row as isize - ring as isize, row as isize + ring as isize);
+            let valid = |c: isize, r: isize| {
+                c >= 0 && r >= 0 && (c as usize) < idx.cols && (r as usize) < idx.rows
+            };
+            let mut cells = Vec::new();
+            if ring == 0 {
+                cells.push((col, row));
+                return cells;
+            }
+            for c in c0..=c1 {
+                for r in [r0, r1] {
+                    if valid(c, r) {
+                        cells.push((c as usize, r as usize));
+                    }
+                }
+            }
+            for r in (r0 + 1)..r1 {
+                for c in [c0, c1] {
+                    if valid(c, r) {
+                        cells.push((c as usize, r as usize));
+                    }
+                }
+            }
+            cells
+        };
+        let (qc, qr) = idx.cell_of(query);
+        let rings = (radius / idx.cell_size).ceil();
+        let max_ring = if rings < usize::MAX as f64 {
+            (rings as usize).saturating_add(1)
+        } else {
+            usize::MAX
+        };
+        let mut out = Vec::new();
+        for ring in 0..=max_ring.min(idx.cols.max(idx.rows)) {
+            for (c, r) in ring_cells(qc, qr, ring) {
+                if idx.cell_lower_bound(query, c, r) > radius {
+                    continue;
+                }
+                for (item, loc) in &idx.cells[r * idx.cols + c] {
+                    let d = loc.euclidean(query);
+                    if d <= radius {
+                        out.push(Neighbor {
+                            item: *item,
+                            distance: d,
+                        });
+                    }
+                }
+            }
+        }
+        out.sort_by(|a, b| {
+            a.distance
+                .partial_cmp(&b.distance)
+                .unwrap_or(std::cmp::Ordering::Equal)
+        });
+        out
+    }
+
+    #[test]
+    fn within_order_matches_the_per_ring_reference_on_tie_heavy_lattices() {
+        // Integer lattice (many exactly equal distances, so discovery
+        // order is visible), co-located duplicates, points outside the
+        // box, and radii landing exactly on lattice distances.
+        let mut items = Vec::new();
+        for k in 0..90usize {
+            let (x, y) = ((k % 9) as f64 - 4.0, (k / 9 % 9) as f64 - 4.0);
+            items.push((k, Point::new(x, y)));
+        }
+        items.push((90, Point::new(0.0, 0.0)));
+        items.push((91, Point::new(7.5, -6.0)));
+        for cell in [0.25, 0.7, 1.0, 3.0] {
+            let idx = GridIndex::bulk_build(BBox::square(Point::ORIGIN, 8.0), cell, items.clone());
+            for (qx, qy) in [(0.0, 0.0), (0.5, 0.5), (-4.0, 4.0), (9.0, 1.0), (1.0, -2.0)] {
+                let q = Point::new(qx, qy);
+                for radius in [
+                    0.0,
+                    1.0,
+                    2.0,
+                    2.5_f64.sqrt(),
+                    5.0,
+                    13.0,
+                    f64::INFINITY,
+                    -1.0,
+                ] {
+                    assert_eq!(
+                        idx.within(q, radius),
+                        reference_within(&idx, q, radius),
+                        "cell {cell} query {q:?} radius {radius}"
+                    );
+                    let mut visited = Vec::new();
+                    idx.for_each_within(q, radius, |&item, _| visited.push(item));
+                    let mut expect: Vec<usize> = reference_within(&idx, q, radius)
+                        .iter()
+                        .map(|n| n.item)
+                        .collect();
+                    visited.sort_unstable();
+                    expect.sort_unstable();
+                    assert_eq!(visited, expect);
+                }
+            }
+        }
     }
 
     #[test]

@@ -35,8 +35,8 @@ mod region;
 mod road_network;
 
 pub use bbox::BBox;
-pub use cache::{CacheStats, DistanceCache};
-pub use grid_index::{heuristic_cell_size, GridIndex, Neighbor};
+pub use cache::{BitsHasher, CacheStats, DistanceCache};
+pub use grid_index::{heuristic_cell_size, Disk, GridIndex, Neighbor};
 pub use incremental_grid::{IncrementalGrid, SyncOutcome};
 pub use metric::{Euclidean, Manhattan, Metric, ScaledMetric};
 pub use point::Point;

@@ -35,5 +35,5 @@ pub use hopcroft_karp::max_bipartite_matching;
 pub use hungarian::min_cost_assignment;
 pub use set_packing::{SetPacking, SetPackingStrategy};
 pub use stable::{
-    AnytimeSearch, Enumeration, MatchScratch, Matching, PreferenceError, StableInstance,
+    AnytimeSearch, Enumeration, KeyedRows, MatchScratch, Matching, PreferenceError, StableInstance,
 };

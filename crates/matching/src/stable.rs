@@ -30,6 +30,8 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::Range;
+use std::sync::{Arc, OnceLock};
 
 use crate::budget::TimeBudget;
 use o2o_obs as obs;
@@ -55,6 +57,14 @@ pub enum PreferenceError {
         /// The repeated entry.
         entry: usize,
     },
+    /// A keyed row ([`KeyedRows`]) carried a key that does not compare
+    /// (`NaN`), so the reviewer could not order that proposer.
+    UnorderedKey {
+        /// The proposer whose row is invalid.
+        agent: usize,
+        /// The reviewer the key belongs to.
+        entry: usize,
+    },
 }
 
 impl fmt::Display for PreferenceError {
@@ -65,6 +75,9 @@ impl fmt::Display for PreferenceError {
             }
             PreferenceError::DuplicateEntry { side, agent, entry } => {
                 write!(f, "{side} {agent} ranks partner {entry} twice")
+            }
+            PreferenceError::UnorderedKey { agent, entry } => {
+                write!(f, "proposer {agent} has a NaN key for reviewer {entry}")
             }
         }
     }
@@ -192,7 +205,8 @@ pub struct MatchScratch {
 /// nothing once the buffers have grown to the steady-state shape.
 #[derive(Debug, Clone, Default)]
 struct PruneScratch {
-    /// Proposer → held reviewer in the candidate seed state.
+    /// Proposer → position (in its own list) of the reviewer it holds in
+    /// the candidate seed state.
     p2r: Vec<Option<usize>>,
     /// Reviewer → held proposer in the candidate seed state.
     r2p: Vec<Option<usize>>,
@@ -311,9 +325,10 @@ const REVIEWER_SIDE: &str = "reviewer";
 /// `O(proposers·reviewers)` memory, O(1) indexed lookup — right when
 /// lists are long relative to the other side (the paper's full-preference
 /// frames). [`StableInstance::new_sparse`] builds `Csr`: memory and
-/// construction are `O(Σ list length)` — the point of threshold-pruned
-/// candidate generation, where each list holds a handful of nearby
-/// partners out of thousands. Within `Csr`, rows whose candidate count
+/// construction are `O(Σ list length)` — right for threshold-pruned
+/// lists, where each holds a handful of nearby partners out of
+/// thousands; keyed instances ([`StableInstance::keyed`]) build it for
+/// their reviewer side when first asked. Within `Csr`, rows whose candidate count
 /// reaches [`CsrRanks::DENSE_ROW_DIVISOR`]ths of the partner side get a
 /// dense-row fast path, so degenerate everybody-ranks-everybody frames
 /// degrade to O(1) lookups instead of `log` searches. `Hashmap` is the
@@ -541,19 +556,164 @@ fn validate(
     Ok(())
 }
 
+/// Proposer preference lists in one flat arena, each entry carrying the
+/// reviewer's **key** for that proposer.
+///
+/// Row `p` is `p`'s list, most preferred first. The key stored with entry
+/// `r` of row `p` is how reviewer `r` values `p`: a reviewer prefers `p`
+/// over `q` iff `(key_p, p) < (key_q, q)` — the lower key wins, and equal
+/// keys go to the lower proposer index. A reviewer in deferred acceptance
+/// only ever compares two proposers, so an instance built from keyed rows
+/// ([`StableInstance::keyed`]) needs no reviewer lists and no rank tables
+/// on that path.
+///
+/// Rows are built in order: [`KeyedRows::push`] appends to the open row,
+/// [`KeyedRows::end_row`] closes it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct KeyedRows {
+    /// Row start offsets into `entries`/`keys`; one more than the number
+    /// of closed rows.
+    offsets: Vec<usize>,
+    /// Partner indices, row after row.
+    entries: Vec<usize>,
+    /// `keys[e]` = the key of `entries[e]`'s reviewer for the row's
+    /// proposer.
+    keys: Vec<f64>,
+}
+
+impl Default for KeyedRows {
+    fn default() -> Self {
+        KeyedRows::new()
+    }
+}
+
+impl KeyedRows {
+    /// No rows.
+    #[must_use]
+    pub fn new() -> Self {
+        KeyedRows {
+            offsets: vec![0],
+            entries: Vec::new(),
+            keys: Vec::new(),
+        }
+    }
+
+    /// No rows, with room for `rows` rows of `entries` entries in all.
+    #[must_use]
+    pub fn with_capacity(rows: usize, entries: usize) -> Self {
+        let mut offsets = Vec::with_capacity(rows + 1);
+        offsets.push(0);
+        KeyedRows {
+            offsets,
+            entries: Vec::with_capacity(entries),
+            keys: Vec::with_capacity(entries),
+        }
+    }
+
+    /// Appends `entry` with its reviewer's `key` to the open row.
+    pub fn push(&mut self, entry: usize, key: f64) {
+        self.entries.push(entry);
+        self.keys.push(key);
+    }
+
+    /// Closes the open row (possibly empty); the next push starts a new
+    /// one.
+    pub fn end_row(&mut self) {
+        self.offsets.push(self.entries.len());
+    }
+
+    /// Appends every row of `other` after this one's closed rows.
+    pub fn append(&mut self, other: &KeyedRows) {
+        let base = self.entries.len();
+        self.offsets
+            .extend(other.offsets[1..].iter().map(|&o| base + o));
+        self.entries.extend_from_slice(&other.entries);
+        self.keys.extend_from_slice(&other.keys);
+    }
+
+    /// Number of closed rows.
+    #[must_use]
+    pub fn rows(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Total number of entries.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// `true` when no row has an entry.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// Arena positions of row `p`: index into any per-entry array kept
+    /// alongside these rows.
+    #[must_use]
+    pub fn span(&self, p: usize) -> Range<usize> {
+        self.offsets[p]..self.offsets[p + 1]
+    }
+
+    /// Row `p`'s entries, most preferred first.
+    #[must_use]
+    pub fn entries(&self, p: usize) -> &[usize] {
+        &self.entries[self.span(p)]
+    }
+
+    /// Row `p`'s keys, aligned with [`KeyedRows::entries`].
+    #[must_use]
+    pub fn keys(&self, p: usize) -> &[f64] {
+        &self.keys[self.span(p)]
+    }
+}
+
+/// Whether a reviewer prefers the proposer keyed `(ka, a)` over the one
+/// keyed `(kb, b)`: the lower key wins, equal keys go to the lower index.
+#[inline]
+fn prefers(ka: f64, a: usize, kb: f64, b: usize) -> bool {
+    ka < kb || (ka == kb && a < b)
+}
+
+/// A materialised reviewer side: each reviewer's list and the rank table
+/// over those lists.
+#[derive(Debug, Clone)]
+struct ReviewerSide {
+    lists: Vec<Vec<usize>>,
+    rank: Ranks,
+}
+
 /// A stable-marriage instance with incomplete (dummy-truncated) lists.
 ///
 /// Each proposer's list ranks the reviewers it would accept, most preferred
 /// first; everything below the dummy is omitted. Reviewers' lists likewise.
 /// A pair can match only if each appears in the other's list.
+///
+/// The proposer side is stored as [`KeyedRows`]: deferred acceptance and
+/// warm-seed pruning read only the proposer's key at its cursor and the
+/// holder's key at its cursor − 1. Instances built from explicit lists
+/// ([`StableInstance::new`] and the sparse variants) derive those keys
+/// from the reviewer ranks and keep both rank tables; instances built
+/// from keys ([`StableInstance::keyed`]) materialise the reviewer side
+/// once, on first use, for the algorithms that walk reviewer lists.
 #[derive(Debug, Clone)]
 pub struct StableInstance {
-    proposer_lists: Vec<Vec<usize>>,
-    reviewer_lists: Vec<Vec<usize>>,
+    /// Proposer lists; each entry's key is the reviewer's preference for
+    /// that proposer (`NaN` = the reviewer does not rank it).
+    rows: Arc<KeyedRows>,
+    /// Number of reviewers.
+    reviewers: usize,
     /// Rank of reviewer `r` for proposer `p` (dense or sparse layout).
-    proposer_rank: Ranks,
-    /// Rank of proposer `p` for reviewer `r` (dense or sparse layout).
-    reviewer_rank: Ranks,
+    /// `None` for keyed instances: a rank there is a position in the
+    /// proposer's (short) list, found by scanning it.
+    proposer_rank: Option<Ranks>,
+    /// Reviewer lists and the rank of proposer `p` for reviewer `r`. Set
+    /// at construction for list-built instances; materialised from the
+    /// keys on first use for keyed ones.
+    reviewer_side: OnceLock<ReviewerSide>,
+    /// The role-swapped instance, built at most once.
+    swapped: OnceLock<Box<StableInstance>>,
 }
 
 impl StableInstance {
@@ -577,12 +737,12 @@ impl StableInstance {
         validate(&reviewer_lists, n_proposers, REVIEWER_SIDE)?;
         let proposer_rank = Ranks::Dense(build_ranks(&proposer_lists, n_reviewers));
         let reviewer_rank = Ranks::Dense(build_ranks(&reviewer_lists, n_proposers));
-        Ok(StableInstance {
-            proposer_lists,
+        Ok(Self::from_lists(
+            &proposer_lists,
             reviewer_lists,
             proposer_rank,
             reviewer_rank,
-        })
+        ))
     }
 
     /// Builds an instance with **sparse** (flat CSR) rank tables.
@@ -590,12 +750,9 @@ impl StableInstance {
     /// Semantically identical to [`StableInstance::new`] — every algorithm
     /// on the instance produces the same result — but construction time and
     /// memory are `O(Σ list length)` instead of `O(|proposers|·|reviewers|)`.
-    /// This is what makes threshold-pruned candidate generation pay off:
-    /// with truncated lists of a few dozen entries, a 2000×2000 frame never
-    /// materialises four million rank slots. Lookups binary-search a
-    /// contiguous per-row slice (no hashing), and rows dense enough for
-    /// searching to be pointless get a dense-row fast path — see
-    /// [`CsrRanks`]'s layout notes.
+    /// Lookups binary-search a contiguous per-row slice (no hashing), and
+    /// rows dense enough for searching to be pointless get a dense-row
+    /// fast path — see [`CsrRanks`]'s layout notes.
     ///
     /// # Errors
     ///
@@ -617,12 +774,12 @@ impl StableInstance {
             n_proposers,
             REVIEWER_SIDE,
         )?);
-        Ok(StableInstance {
-            proposer_lists,
+        Ok(Self::from_lists(
+            &proposer_lists,
             reviewer_lists,
             proposer_rank,
             reviewer_rank,
-        })
+        ))
     }
 
     /// Builds an instance with the pre-CSR **reference** rank tables
@@ -655,75 +812,278 @@ impl StableInstance {
             n_proposers,
             REVIEWER_SIDE,
         )?);
-        Ok(StableInstance {
-            proposer_lists,
+        Ok(Self::from_lists(
+            &proposer_lists,
             reviewer_lists,
             proposer_rank,
             reviewer_rank,
-        })
+        ))
+    }
+
+    /// Builds an instance from **keyed** proposer rows (see [`KeyedRows`]):
+    /// every entry is mutually acceptable, and each reviewer ranks the
+    /// proposers listing it by `(key, proposer index)`.
+    ///
+    /// Construction is one validation pass over the rows — no reviewer
+    /// lists, no sort, no rank table. Deferred acceptance
+    /// ([`StableInstance::propose`] and the seeded variants) runs on the
+    /// keys alone. The reviewer side is materialised once, on first use,
+    /// in exactly that order (a stable sort by key of each reviewer's
+    /// proposers in index order), by the algorithms that need it: the
+    /// role swap and everything built on it, enumeration, rank queries and
+    /// [`StableInstance::blocking_pairs`]. Each materialisation adds 1 to
+    /// the `match.taxi_side_built` counter.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PreferenceError`] when a row holds an out-of-range or
+    /// duplicate reviewer, or a `NaN` key.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` ends with an unclosed row (entries pushed after
+    /// the last [`KeyedRows::end_row`]).
+    pub fn keyed(rows: Arc<KeyedRows>, reviewers: usize) -> Result<Self, PreferenceError> {
+        assert_eq!(
+            rows.offsets.last().copied(),
+            Some(rows.entries.len()),
+            "keyed rows end with an unclosed row"
+        );
+        // Agent stamps, as in CsrRanks::build: a slot is "seen" only when
+        // stamped with the current proposer.
+        let mut stamp = vec![usize::MAX; reviewers];
+        for agent in 0..rows.rows() {
+            for (&entry, &key) in rows.entries(agent).iter().zip(rows.keys(agent)) {
+                if entry >= reviewers {
+                    return Err(PreferenceError::IndexOutOfRange {
+                        side: PROPOSER_SIDE,
+                        agent,
+                        entry,
+                    });
+                }
+                if stamp[entry] == agent {
+                    return Err(PreferenceError::DuplicateEntry {
+                        side: PROPOSER_SIDE,
+                        agent,
+                        entry,
+                    });
+                }
+                stamp[entry] = agent;
+                if key.is_nan() {
+                    return Err(PreferenceError::UnorderedKey { agent, entry });
+                }
+            }
+        }
+        Ok(Self::from_keyed(rows, reviewers))
+    }
+
+    /// A keyed instance over already-validated rows.
+    fn from_keyed(rows: Arc<KeyedRows>, reviewers: usize) -> Self {
+        StableInstance {
+            rows,
+            reviewers,
+            proposer_rank: None,
+            reviewer_side: OnceLock::new(),
+            swapped: OnceLock::new(),
+        }
+    }
+
+    /// An instance over validated explicit lists and their rank tables.
+    /// Each proposer entry is keyed by the reviewer's rank of that
+    /// proposer (`NaN` where the reviewer does not rank it); ranks are
+    /// distinct per reviewer, so comparing keys is comparing ranks.
+    fn from_lists(
+        proposer_lists: &[Vec<usize>],
+        reviewer_lists: Vec<Vec<usize>>,
+        proposer_rank: Ranks,
+        reviewer_rank: Ranks,
+    ) -> Self {
+        let mut rows = KeyedRows::new();
+        for (p, list) in proposer_lists.iter().enumerate() {
+            for &r in list {
+                let rank = reviewer_rank.get(r, p);
+                let key = if rank == NOT_RANKED {
+                    f64::NAN
+                } else {
+                    f64::from(rank)
+                };
+                rows.push(r, key);
+            }
+            rows.end_row();
+        }
+        StableInstance {
+            rows: Arc::new(rows),
+            reviewers: reviewer_lists.len(),
+            proposer_rank: Some(proposer_rank),
+            reviewer_side: OnceLock::from(ReviewerSide {
+                lists: reviewer_lists,
+                rank: reviewer_rank,
+            }),
+            swapped: OnceLock::new(),
+        }
+    }
+
+    /// Position of reviewer `r` in proposer `p`'s list, if listed.
+    #[inline]
+    fn slot_of(&self, p: usize, r: usize) -> Option<usize> {
+        match &self.proposer_rank {
+            Some(rank) => {
+                let k = rank.get(p, r);
+                (k != NOT_RANKED).then_some(k as usize)
+            }
+            None => self.rows.entries(p).iter().position(|&x| x == r),
+        }
+    }
+
+    /// The key of the entry at position `slot` of proposer `p`'s list.
+    #[inline]
+    fn key_at(&self, p: usize, slot: usize) -> f64 {
+        self.rows.keys[self.rows.offsets[p] + slot]
     }
 
     /// Rank of reviewer `r` for proposer `p`, or [`NOT_RANKED`].
     #[inline]
     fn prank(&self, p: usize, r: usize) -> u32 {
-        self.proposer_rank.get(p, r)
+        self.slot_of(p, r).map_or(NOT_RANKED, |k| k as u32)
     }
 
     /// Rank of proposer `p` for reviewer `r`, or [`NOT_RANKED`].
     #[inline]
     fn rrank(&self, r: usize, p: usize) -> u32 {
-        self.reviewer_rank.get(r, p)
+        self.reviewer_side().rank.get(r, p)
+    }
+
+    /// The reviewer lists and ranks, materialising them on first use.
+    fn reviewer_side(&self) -> &ReviewerSide {
+        self.reviewer_side.get_or_init(|| {
+            // Only keyed instances get here: list-built ones set the side
+            // at construction. The swapped view's proposer lists are
+            // exactly this instance's reviewer lists.
+            let swapped = self.swapped_view();
+            let lists: Vec<Vec<usize>> = (0..self.reviewers)
+                .map(|r| swapped.proposer_list(r).to_vec())
+                .collect();
+            let rank = CsrRanks::build(&lists, self.proposers(), REVIEWER_SIDE)
+                .expect("materialised reviewer lists are in range and duplicate-free");
+            ReviewerSide {
+                lists,
+                rank: Ranks::Csr(rank),
+            }
+        })
+    }
+
+    /// The role-swapped instance, built on first use and kept.
+    fn swapped_view(&self) -> &StableInstance {
+        self.swapped.get_or_init(|| {
+            Box::new(match &self.proposer_rank {
+                Some(proposer_rank) => {
+                    let side = self.reviewer_side();
+                    let proposer_lists: Vec<Vec<usize>> = (0..self.proposers())
+                        .map(|p| self.proposer_list(p).to_vec())
+                        .collect();
+                    Self::from_lists(
+                        &side.lists,
+                        proposer_lists,
+                        side.rank.clone(),
+                        proposer_rank.clone(),
+                    )
+                }
+                None => self.swap_keyed(),
+            })
+        })
+    }
+
+    /// The role swap of a keyed instance, itself keyed: each reviewer's
+    /// list is its proposers in `(key, index)` order — a stable sort of
+    /// the reviewer's bucket, filled in proposer order — and each entry's
+    /// key is the proposer's rank of that reviewer.
+    fn swap_keyed(&self) -> StableInstance {
+        obs::add("match.taxi_side_built", 1);
+        let rows = &*self.rows;
+        let nr = self.reviewers;
+        let mut offsets = vec![0usize; nr + 1];
+        for &r in &rows.entries {
+            offsets[r + 1] += 1;
+        }
+        for r in 0..nr {
+            offsets[r + 1] += offsets[r];
+        }
+        let mut fill = offsets.clone();
+        let mut bucket: Vec<(f64, usize, usize)> = vec![(0.0, 0, 0); rows.len()];
+        for p in 0..rows.rows() {
+            for (slot, (&r, &key)) in rows.entries(p).iter().zip(rows.keys(p)).enumerate() {
+                bucket[fill[r]] = (key, p, slot);
+                fill[r] += 1;
+            }
+        }
+        let mut swapped = KeyedRows::with_capacity(nr, rows.len());
+        for r in 0..nr {
+            let b = &mut bucket[offsets[r]..offsets[r + 1]];
+            // Keys of a keyed instance are never NaN (validated), so this
+            // is a total order and agrees with `prefers`.
+            b.sort_by(|x, y| {
+                x.0.partial_cmp(&y.0)
+                    .unwrap_or(std::cmp::Ordering::Equal)
+                    .then(x.1.cmp(&y.1))
+            });
+            for &(_, p, slot) in b.iter() {
+                swapped.push(p, slot as f64);
+            }
+            swapped.end_row();
+        }
+        Self::from_keyed(Arc::new(swapped), self.proposers())
     }
 
     /// Number of proposers.
     #[must_use]
     pub fn proposers(&self) -> usize {
-        self.proposer_lists.len()
+        self.rows.rows()
     }
 
     /// Number of reviewers.
     #[must_use]
     pub fn reviewers(&self) -> usize {
-        self.reviewer_lists.len()
+        self.reviewers
     }
 
     /// Proposer `p`'s truncated preference list.
     #[must_use]
     pub fn proposer_list(&self, p: usize) -> &[usize] {
-        &self.proposer_lists[p]
+        self.rows.entries(p)
     }
 
-    /// Reviewer `r`'s truncated preference list.
+    /// Reviewer `r`'s truncated preference list (materialised on first
+    /// use for keyed instances).
     #[must_use]
     pub fn reviewer_list(&self, r: usize) -> &[usize] {
-        &self.reviewer_lists[r]
+        &self.reviewer_side().lists[r]
     }
 
     /// The role-swapped instance (reviewers become proposers).
     ///
     /// Running [`StableInstance::propose`] on the swap yields the
     /// *reviewer-optimal* stable matching of `self` — the engine behind the
-    /// taxi-optimal schedule NSTD-T.
+    /// taxi-optimal schedule NSTD-T. The swap is built once per instance
+    /// and kept; this returns a copy of it.
     #[must_use]
     pub fn swapped(&self) -> StableInstance {
-        StableInstance {
-            proposer_lists: self.reviewer_lists.clone(),
-            reviewer_lists: self.proposer_lists.clone(),
-            proposer_rank: self.reviewer_rank.clone(),
-            reviewer_rank: self.proposer_rank.clone(),
-        }
+        self.swapped_view().clone()
     }
 
     /// Whether proposer `p` finds reviewer `r` acceptable (above dummy).
     #[must_use]
     pub fn proposer_accepts(&self, p: usize, r: usize) -> bool {
-        self.prank(p, r) != NOT_RANKED
+        self.slot_of(p, r).is_some()
     }
 
     /// Whether reviewer `r` finds proposer `p` acceptable (above dummy).
     #[must_use]
     pub fn reviewer_accepts(&self, r: usize, p: usize) -> bool {
-        self.rrank(r, p) != NOT_RANKED
+        match self.proposer_rank {
+            Some(_) => self.rrank(r, p) != NOT_RANKED,
+            // Every keyed entry is mutually acceptable.
+            None => self.slot_of(p, r).is_some(),
+        }
     }
 
     /// The proposer-optimal stable matching — the paper's **Algorithm 1**.
@@ -763,20 +1123,28 @@ impl StableInstance {
     /// [`StableInstance::propose_seeded`] (warm, seeded pairs linked and
     /// cursors advanced) drive this same loop, so the two paths cannot
     /// diverge in proposal semantics.
+    ///
+    /// Every held proposer's cursor sits just past the reviewer it holds,
+    /// so the holder's key is the one at its cursor − 1: a comparison is
+    /// two key reads, with no rank table.
     fn run_proposals(&self, m: &mut Matching, next: &mut [usize], free: &mut Vec<usize>) {
+        let rows = &*self.rows;
         // Proposal/rejection dynamics are batched in locals and flushed
         // once: the loop body stays counter-free for the disabled case.
         let mut proposals = 0u64;
         let mut rejections = 0u64;
         while let Some(p) = free.pop() {
-            // Propose down p's list from its cursor.
             // Runs down p's list from its cursor; falling off the end
             // means p matches its dummy (unserved).
-            while let Some(&r) = self.proposer_lists[p].get(next[p]) {
+            let base = rows.offsets[p];
+            let end = rows.offsets[p + 1];
+            while base + next[p] < end {
+                let e = base + next[p];
+                let r = rows.entries[e];
+                let key = rows.keys[e];
                 next[p] += 1;
                 proposals += 1;
-                let my_rank = self.rrank(r, p);
-                if my_rank == NOT_RANKED {
+                if key.is_nan() {
                     rejections += 1;
                     continue; // r would rather stay undispatched
                 }
@@ -786,7 +1154,8 @@ impl StableInstance {
                         break;
                     }
                     Some(held) => {
-                        if my_rank < self.rrank(r, held) {
+                        let held_key = rows.keys[rows.offsets[held] + next[held] - 1];
+                        if prefers(key, p, held_key, held) {
                             m.link(p, r); // unlinks `held`
                             free.push(held);
                             rejections += 1; // `held` is bumped back out
@@ -843,7 +1212,9 @@ impl StableInstance {
 
     /// Buffer-reusing core of [`StableInstance::valid_warm_seed`]: writes
     /// the pruned seed into `out` using `prune` as working state, both
-    /// resized as needed so any capacity (including empty) works.
+    /// resized as needed so any capacity (including empty) works. On
+    /// return `prune.p2r[p]` holds the list position of each surviving
+    /// proposer's reviewer.
     fn valid_warm_seed_into(
         &self,
         seed: &[(usize, usize)],
@@ -861,10 +1232,14 @@ impl StableInstance {
             if p >= np || r >= nr || prune.p2r[p].is_some() || prune.r2p[r].is_some() {
                 continue;
             }
-            if !self.proposer_accepts(p, r) || !self.reviewer_accepts(r, p) {
+            // Listed by p, and r's key for p is a real preference.
+            let Some(slot) = self.slot_of(p, r) else {
+                continue;
+            };
+            if self.key_at(p, slot).is_nan() {
                 continue;
             }
-            prune.p2r[p] = Some(r);
+            prune.p2r[p] = Some(slot);
             prune.r2p[r] = Some(p);
         }
         loop {
@@ -875,7 +1250,9 @@ impl StableInstance {
             }
         }
         out.clear();
-        out.extend((0..np).filter_map(|p| prune.p2r[p].map(|r| (p, r))));
+        out.extend(
+            (0..np).filter_map(|p| prune.p2r[p].map(|slot| (p, self.proposer_list(p)[slot]))),
+        );
     }
 
     /// Drops seeded pairs whose skipped prefix is not justified by the
@@ -883,20 +1260,24 @@ impl StableInstance {
     /// repeating until a full pass removes nothing. Returns whether any
     /// pair was dropped.
     fn prune_unjustified(&self, p2r: &mut [Option<usize>], r2p: &mut [Option<usize>]) -> bool {
+        let rows = &*self.rows;
         let mut any = false;
         loop {
             let mut changed = false;
-            for (p, slot) in p2r.iter_mut().enumerate() {
-                let Some(r) = *slot else { continue };
-                let rank = self.prank(p, r) as usize;
-                let justified = self.proposer_lists[p][..rank].iter().all(|&skipped| {
-                    let my_rank = self.rrank(skipped, p);
-                    my_rank == NOT_RANKED
-                        || r2p[skipped].is_some_and(|q| self.rrank(skipped, q) < my_rank)
+            for p in 0..p2r.len() {
+                let Some(slot) = p2r[p] else { continue };
+                let base = rows.offsets[p];
+                let justified = (base..base + slot).all(|e| {
+                    let key = rows.keys[e];
+                    key.is_nan()
+                        || r2p[rows.entries[e]].is_some_and(|q| {
+                            let held = p2r[q].expect("a seeded holder has a slot");
+                            prefers(self.key_at(q, held), q, key, p)
+                        })
                 });
                 if !justified {
-                    *slot = None;
-                    r2p[r] = None;
+                    p2r[p] = None;
+                    r2p[rows.entries[base + slot]] = None;
                     changed = true;
                     any = true;
                 }
@@ -924,6 +1305,7 @@ impl StableInstance {
             settle,
             settled,
         } = s;
+        let rows = &*self.rows;
         let np = p2r.len();
         for v in justifiers.iter_mut() {
             v.clear();
@@ -934,13 +1316,14 @@ impl StableInstance {
         }
         dependents.resize_with(np, Vec::new);
         for p in 0..np {
-            let Some(r) = p2r[p] else { continue };
-            let rank = self.prank(p, r) as usize;
-            for &skipped in &self.proposer_lists[p][..rank] {
-                if self.rrank(skipped, p) == NOT_RANKED {
+            let Some(slot) = p2r[p] else { continue };
+            let base = rows.offsets[p];
+            for e in base..base + slot {
+                if rows.keys[e].is_nan() {
                     continue;
                 }
-                let q = r2p[skipped].expect("prefix is justified, so the skip has a holder");
+                let q =
+                    r2p[rows.entries[e]].expect("prefix is justified, so the skip has a holder");
                 if !justifiers[p].contains(&q) {
                     justifiers[p].push(q);
                     dependents[q].push(p);
@@ -964,10 +1347,10 @@ impl StableInstance {
         }
         let mut any = false;
         for p in 0..np {
-            if let Some(r) = p2r[p] {
+            if let Some(slot) = p2r[p] {
                 if !settled[p] {
                     p2r[p] = None;
-                    r2p[r] = None;
+                    r2p[rows.entries[rows.offsets[p] + slot]] = None;
                     any = true;
                 }
             }
@@ -1018,10 +1401,10 @@ impl StableInstance {
         let mut m = scratch.take_matching(self.proposers(), self.reviewers());
         scratch.next.clear();
         scratch.next.resize(self.proposers(), 0);
-        for i in 0..scratch.seed.len() {
-            let (p, r) = scratch.seed[i];
+        for &(p, r) in &scratch.seed {
             m.link(p, r);
-            scratch.next[p] = self.prank(p, r) as usize + 1;
+            let slot = scratch.prune.p2r[p].expect("a kept seed pair has a slot");
+            scratch.next[p] = slot + 1;
         }
         scratch.free.clear();
         scratch.free.extend(
@@ -1061,8 +1444,9 @@ impl StableInstance {
 
     /// [`StableInstance::reviewer_optimal_seeded`] with caller-owned
     /// working memory (see [`StableInstance::propose_seeded_with`]). The
-    /// role swap itself still clones the preference tables — that cost is
-    /// hoisted by callers that cache the swapped instance, not here.
+    /// role-swapped instance is built once per instance and shared with
+    /// [`StableInstance::reviewer_optimal`] and
+    /// [`StableInstance::swapped`].
     #[must_use]
     pub fn reviewer_optimal_seeded_with(
         &self,
@@ -1072,7 +1456,9 @@ impl StableInstance {
         let mut swapped_seed = std::mem::take(&mut scratch.swap_seed);
         swapped_seed.clear();
         swapped_seed.extend(seed.iter().map(|&(p, r)| (r, p)));
-        let m = self.swapped().propose_seeded_with(&swapped_seed, scratch);
+        let m = self
+            .swapped_view()
+            .propose_seeded_with(&swapped_seed, scratch);
         scratch.swap_seed = swapped_seed;
         Matching {
             proposer_to_reviewer: m.reviewer_to_proposer,
@@ -1083,7 +1469,7 @@ impl StableInstance {
     /// The reviewer-optimal stable matching (role-swapped proposals).
     #[must_use]
     pub fn reviewer_optimal(&self) -> Matching {
-        let m = self.swapped().propose();
+        let m = self.swapped_view().propose();
         Matching {
             proposer_to_reviewer: m.reviewer_to_proposer,
             reviewer_to_proposer: m.proposer_to_reviewer,
@@ -1101,11 +1487,11 @@ impl StableInstance {
         let mut out = Vec::new();
         for p in 0..self.proposers() {
             let p_current_rank = m.proposer_to_reviewer[p].map(|r| self.prank(p, r));
-            for &r in &self.proposer_lists[p] {
-                let pr = self.prank(p, r);
-                let p_prefers = p_current_rank.is_none_or(|cur| pr < cur);
-                if !p_prefers {
-                    continue;
+            for (pr, &r) in self.proposer_list(p).iter().enumerate() {
+                // List position is p's rank of r: everything from the
+                // current partner's position on is not preferred.
+                if p_current_rank.is_some_and(|cur| pr as u32 >= cur) {
+                    break;
                 }
                 let rp = self.rrank(r, p);
                 if rp == NOT_RANKED {
@@ -1160,8 +1546,8 @@ impl StableInstance {
         let mut pos = self.prank(j, t) as usize + 1;
         loop {
             let mut displaced: Option<usize> = None;
-            while pos < self.proposer_lists[cur].len() {
-                let r = self.proposer_lists[cur][pos];
+            while pos < self.proposer_list(cur).len() {
+                let r = self.proposer_list(cur)[pos];
                 pos += 1;
                 let my_rank = self.rrank(r, cur);
                 if my_rank == NOT_RANKED {
@@ -1343,7 +1729,7 @@ impl StableInstance {
         (0..self.reviewers())
             .filter(|&r| matched.reviewer_partner(r).is_some())
             .map(|r| {
-                self.reviewer_lists[r]
+                self.reviewer_list(r)
                     .iter()
                     .position(|&p| self.proposer_accepts(p, r))
                     .map_or(0, |rank| rank as u64)
@@ -1556,7 +1942,7 @@ impl StableInstance {
         // p stays unmatched…
         self.brute_rec(p + 1, m, out);
         // …or takes any mutually-acceptable free reviewer.
-        for &r in &self.proposer_lists[p] {
+        for &r in self.proposer_list(p) {
             if m.reviewer_to_proposer[r].is_none() && self.reviewer_accepts(r, p) {
                 m.link(p, r);
                 self.brute_rec(p + 1, m, out);
@@ -1804,6 +2190,20 @@ mod tests {
         assert_eq!(truncated.reviewer_rank_of(0, 0), None);
     }
 
+    /// Proposer lists of `inst`, owned.
+    fn plists(inst: &StableInstance) -> Vec<Vec<usize>> {
+        (0..inst.proposers())
+            .map(|p| inst.proposer_list(p).to_vec())
+            .collect()
+    }
+
+    /// Reviewer lists of `inst`, owned.
+    fn rlists(inst: &StableInstance) -> Vec<Vec<usize>> {
+        (0..inst.reviewers())
+            .map(|r| inst.reviewer_list(r).to_vec())
+            .collect()
+    }
+
     /// Random instance with truncated lists on both sides.
     fn random_instance(rng: &mut StdRng, np: usize, nr: usize) -> StableInstance {
         let mut gen_side = |n: usize, m: usize| -> Vec<Vec<usize>> {
@@ -1822,6 +2222,154 @@ mod tests {
         StableInstance::new(p, r).unwrap()
     }
 
+    /// Random keyed rows with many tied keys, and the list-built
+    /// instance they define: each reviewer's list is its proposers
+    /// ordered by `(key, proposer index)`.
+    fn random_keyed(rng: &mut StdRng, np: usize, nr: usize) -> (StableInstance, StableInstance) {
+        let mut rows = KeyedRows::new();
+        let mut reviewer_keys: Vec<Vec<(f64, usize)>> = vec![Vec::new(); nr];
+        let mut p_lists = Vec::new();
+        for p in 0..np {
+            let mut list: Vec<usize> = (0..nr).collect();
+            list.shuffle(rng);
+            list.truncate(rng.gen_range(0..=nr));
+            for &r in &list {
+                let key = f64::from(rng.gen_range(0u8..3));
+                rows.push(r, key);
+                reviewer_keys[r].push((key, p));
+            }
+            rows.end_row();
+            p_lists.push(list);
+        }
+        let r_lists = reviewer_keys
+            .into_iter()
+            .map(|mut keyed| {
+                keyed.sort_by(|a, b| a.partial_cmp(b).unwrap());
+                keyed.into_iter().map(|(_, p)| p).collect()
+            })
+            .collect();
+        let keyed = StableInstance::keyed(Arc::new(rows), nr).unwrap();
+        (keyed, StableInstance::new(p_lists, r_lists).unwrap())
+    }
+
+    #[test]
+    fn keyed_instances_match_their_list_built_twins() {
+        let mut rng = StdRng::seed_from_u64(0x4E7ED);
+        let unlimited = TimeBudget::unlimited();
+        for case in 0..300 {
+            let np = rng.gen_range(0..=6);
+            let nr = rng.gen_range(0..=6);
+            let (keyed, lists) = random_keyed(&mut rng, np, nr);
+            let rec = obs::Recorder::new();
+            let _scope = obs::scope(&rec);
+            let cold = lists.propose();
+            assert_eq!(keyed.propose(), cold, "case {case}");
+            let garbage: Vec<(usize, usize)> = (0..np + 2)
+                .map(|_| (rng.gen_range(0..np + 2), rng.gen_range(0..nr + 2)))
+                .collect();
+            assert_eq!(keyed.propose_seeded(&garbage), cold, "case {case}");
+            assert_eq!(
+                keyed.propose_seeded(&cold.pairs().collect::<Vec<_>>()),
+                cold,
+                "case {case}"
+            );
+            assert_eq!(
+                keyed.valid_warm_seed(&garbage),
+                lists.valid_warm_seed(&garbage),
+                "case {case}"
+            );
+            // Passenger-side work never builds the reviewer side.
+            assert_eq!(rec.counter("match.taxi_side_built"), 0, "case {case}");
+            assert_eq!(
+                keyed.reviewer_optimal(),
+                lists.reviewer_optimal(),
+                "case {case}"
+            );
+            assert_eq!(
+                keyed.reviewer_optimal_seeded(&garbage),
+                lists.reviewer_optimal(),
+                "case {case}"
+            );
+            for r in 0..nr {
+                assert_eq!(
+                    keyed.reviewer_list(r),
+                    lists.reviewer_list(r),
+                    "case {case}"
+                );
+                for p in 0..np {
+                    assert_eq!(keyed.reviewer_rank_of(r, p), lists.reviewer_rank_of(r, p));
+                    assert_eq!(keyed.proposer_rank_of(p, r), lists.proposer_rank_of(p, r));
+                    assert_eq!(keyed.reviewer_accepts(r, p), lists.reviewer_accepts(r, p));
+                }
+            }
+            let all = lists.enumerate_all(None);
+            assert_eq!(keyed.enumerate_all(None), all, "case {case}");
+            assert_eq!(
+                keyed.median_stable_matching(&all),
+                lists.median_stable_matching(&all)
+            );
+            assert_eq!(
+                keyed.reviewer_optimal_anytime(&unlimited),
+                lists.reviewer_optimal_anytime(&unlimited)
+            );
+            let mut arbitrary = Matching::empty(np, nr);
+            for &(p, r) in &garbage {
+                if p < np && r < nr {
+                    arbitrary.link(p, r);
+                }
+            }
+            assert_eq!(
+                keyed.blocking_pairs(&arbitrary),
+                lists.blocking_pairs(&arbitrary)
+            );
+            assert_eq!(keyed.is_stable(&arbitrary), lists.is_stable(&arbitrary));
+            // Everything above shares one materialisation.
+            let built = rec.counter("match.taxi_side_built");
+            assert!(built <= 1, "case {case}: built {built} times");
+        }
+    }
+
+    #[test]
+    fn keyed_rows_are_validated() {
+        let row = |entries: &[(usize, f64)]| {
+            let mut rows = KeyedRows::new();
+            for &(r, key) in entries {
+                rows.push(r, key);
+            }
+            rows.end_row();
+            Arc::new(rows)
+        };
+        assert_eq!(
+            StableInstance::keyed(row(&[(0, 1.0), (3, 2.0)]), 2).unwrap_err(),
+            PreferenceError::IndexOutOfRange {
+                side: "proposer",
+                agent: 0,
+                entry: 3
+            }
+        );
+        assert_eq!(
+            StableInstance::keyed(row(&[(1, 1.0), (1, 2.0)]), 2).unwrap_err(),
+            PreferenceError::DuplicateEntry {
+                side: "proposer",
+                agent: 0,
+                entry: 1
+            }
+        );
+        assert_eq!(
+            StableInstance::keyed(row(&[(1, f64::NAN)]), 2).unwrap_err(),
+            PreferenceError::UnorderedKey { agent: 0, entry: 1 }
+        );
+        // Equal keys go to the lower proposer index; −0.0 ties +0.0.
+        let mut rows = KeyedRows::new();
+        rows.push(0, 0.0);
+        rows.end_row();
+        rows.push(0, -0.0);
+        rows.end_row();
+        let inst = StableInstance::keyed(Arc::new(rows), 1).unwrap();
+        assert_eq!(inst.propose().reviewer_partner(0), Some(0));
+        assert_eq!(inst.reviewer_list(0), &[0, 1]);
+    }
+
     #[test]
     fn sparse_ranks_match_dense_on_random_instances() {
         // Same lists, sparse rank tables: every algorithm must return
@@ -1831,11 +2379,7 @@ mod tests {
             let np = rng.gen_range(0..=6);
             let nr = rng.gen_range(0..=6);
             let inst = random_instance(&mut rng, np, nr);
-            let sparse = StableInstance::new_sparse(
-                inst.proposer_lists.clone(),
-                inst.reviewer_lists.clone(),
-            )
-            .unwrap();
+            let sparse = StableInstance::new_sparse(plists(&inst), rlists(&inst)).unwrap();
             assert_eq!(inst.propose(), sparse.propose(), "case {case}");
             assert_eq!(
                 inst.reviewer_optimal(),
@@ -1892,16 +2436,9 @@ mod tests {
             let np = rng.gen_range(0..=8);
             let nr = rng.gen_range(0..=8);
             let dense = random_instance(&mut rng, np, nr);
-            let csr = StableInstance::new_sparse(
-                dense.proposer_lists.clone(),
-                dense.reviewer_lists.clone(),
-            )
-            .unwrap();
-            let hashmap = StableInstance::new_sparse_reference(
-                dense.proposer_lists.clone(),
-                dense.reviewer_lists.clone(),
-            )
-            .unwrap();
+            let csr = StableInstance::new_sparse(plists(&dense), rlists(&dense)).unwrap();
+            let hashmap =
+                StableInstance::new_sparse_reference(plists(&dense), rlists(&dense)).unwrap();
             for p in 0..np {
                 for r in 0..nr {
                     let want = dense.proposer_rank_of(p, r);
@@ -1945,8 +2482,8 @@ mod tests {
             let np = rng.gen_range(1..=5);
             let nr = rng.gen_range(1..=5);
             let good = random_instance(&mut rng, np, nr);
-            let mut p_lists = good.proposer_lists.clone();
-            let mut r_lists = good.reviewer_lists.clone();
+            let mut p_lists = plists(&good);
+            let mut r_lists = rlists(&good);
             // Corrupt a random list with either an out-of-range entry or
             // a duplicate (possibly both, in random order).
             let corrupt = |list: &mut Vec<usize>, other: usize, rng: &mut StdRng| {

@@ -29,6 +29,7 @@
 use std::any::Any;
 use std::fmt;
 use std::num::NonZeroUsize;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// How many threads a parallel stage may use.
@@ -99,6 +100,15 @@ impl Default for Parallelism {
 /// Below this many items a fork is pure overhead; run inline instead.
 const MIN_ITEMS_PER_THREAD: usize = 16;
 
+/// Size of the contiguous chunks `len` items split into: one per worker,
+/// at most `par.threads()` workers and none with fewer than
+/// [`MIN_ITEMS_PER_THREAD`] items on average. `chunk >= len` means one
+/// worker (run inline).
+fn chunk_len(par: Parallelism, len: usize) -> usize {
+    let workers = par.threads().min(len.div_ceil(MIN_ITEMS_PER_THREAD)).max(1);
+    len.div_ceil(workers).max(1)
+}
+
 /// Maps `f` over `items`, preserving order, using up to
 /// `par.threads()` threads.
 ///
@@ -122,8 +132,8 @@ where
     F: Fn(usize, T) -> U + Sync,
 {
     let len = items.len();
-    let workers = par.threads().min(len.div_ceil(MIN_ITEMS_PER_THREAD)).max(1);
-    if workers == 1 {
+    let chunk = chunk_len(par, len);
+    if chunk >= len {
         return items
             .into_iter()
             .enumerate()
@@ -134,11 +144,10 @@ where
     // Contiguous chunks, one per worker; chunk k covers indices
     // [k*chunk, min((k+1)*chunk, len)). Rounding chunk up can make the
     // last chunks redundant (e.g. len = 305, workers = 19 gives
-    // chunk = 17 but only 18 chunks are needed), so recompute the worker
-    // count from the chunk size — otherwise a split index could exceed
-    // len. Results come back tagged with the chunk index and are
+    // chunk = 17 but only 18 chunks are needed), so the worker count is
+    // recomputed from the chunk size — otherwise a split index could
+    // exceed len. Results come back tagged with the chunk index and are
     // re-assembled in order.
-    let chunk = len.div_ceil(workers);
     let workers = len.div_ceil(chunk);
     let mut chunks: Vec<Vec<T>> = Vec::with_capacity(workers);
     let mut items = items;
@@ -174,6 +183,37 @@ where
         result.append(part);
     }
     result
+}
+
+/// Calls `f` once per contiguous sub-range of `0..len` — the same chunks
+/// [`par_map`] would hand its workers — and returns the results in range
+/// order.
+///
+/// For callers that build one output per chunk (say, one buffer of
+/// variable-length rows) rather than one per item. The concatenation of
+/// the ranges is always `0..len`, so an order-preserving merge of the
+/// results is the same for every thread count; `len == 0` makes one call
+/// with the empty range. Panics in `f` propagate.
+pub fn par_map_ranges<U, F>(par: Parallelism, len: usize, f: F) -> Vec<U>
+where
+    U: Send,
+    F: Fn(Range<usize>) -> U + Sync,
+{
+    let chunk = chunk_len(par, len);
+    if chunk >= len {
+        return vec![f(0..len)];
+    }
+    let f = &f;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..len)
+            .step_by(chunk)
+            .map(|lo| scope.spawn(move || f(lo..(lo + chunk).min(len))))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("par_map_ranges worker panicked"))
+            .collect()
+    })
 }
 
 /// A panic that survived [`try_par_map`]'s one sequential retry.
@@ -270,8 +310,8 @@ where
     F: Fn(usize, T) -> U + Sync,
 {
     let len = items.len();
-    let workers = par.threads().min(len.div_ceil(MIN_ITEMS_PER_THREAD)).max(1);
-    if workers == 1 {
+    let chunk = chunk_len(par, len);
+    if chunk >= len {
         // Inline: catch per item, retry the item once.
         let mut values = Vec::with_capacity(len);
         let mut retried = 0usize;
@@ -301,7 +341,6 @@ where
 
     // Same chunk geometry as par_map_indexed, so indices and ordering
     // agree with it exactly.
-    let chunk = len.div_ceil(workers);
     let workers = len.div_ceil(chunk);
     let mut chunks: Vec<Vec<T>> = Vec::with_capacity(workers);
     let mut items = items;
@@ -413,6 +452,19 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn ranges_cover_len_in_order_at_every_thread_count() {
+        for len in [0usize, 1, 15, 16, 17, 33, 305] {
+            for threads in [1, 2, 4, 19] {
+                let ranges = par_map_ranges(Parallelism::fixed(threads), len, |r| r);
+                let flat: Vec<usize> = ranges.iter().cloned().flatten().collect();
+                assert_eq!(flat, (0..len).collect::<Vec<_>>(), "{len} × {threads}");
+                assert!(ranges.len() <= threads.max(1));
+                assert!(ranges.iter().all(|r| !r.is_empty()) || len == 0);
+            }
+        }
+    }
 
     #[test]
     fn sequential_matches_map() {

@@ -201,3 +201,24 @@ fn span_events_balance_and_counters_match_the_report() {
         );
     }
 }
+
+#[test]
+fn passenger_optimal_day_never_builds_the_taxi_side() {
+    // NSTD-P is deferred acceptance with requests proposing: taxis only
+    // compare two proposers by score, so a whole day must run without
+    // materialising a single taxi-side list. NSTD-T proposes from the
+    // taxi side and has to build it.
+    let trace = boston_september_2012(0.02).generate(17);
+    let params = PreferenceParams::default();
+    let sim_p = Simulator::new(SimConfig::default());
+    let report = sim_p.run(&trace, &mut policy::nstd_p(Euclidean, params));
+    assert!(report.served > 0);
+    let rec = sim_p.recorder();
+    assert_eq!(rec.counter("match.taxi_side_built"), 0);
+    assert!(rec.counter("prefs.rows_fresh") > 0);
+    assert!(rec.counter("prefs.rows_carried") > 0);
+
+    let sim_t = Simulator::new(SimConfig::default());
+    let _ = sim_t.run(&trace, &mut policy::nstd_t(Euclidean, params));
+    assert!(sim_t.recorder().counter("match.taxi_side_built") > 0);
+}
