@@ -115,7 +115,7 @@ fn budget_row(deadline_us: u64, r: &SimReport) -> Json {
     ])
 }
 
-fn run_budgeted(trace: &Trace, opts: &ExperimentOpts, deadline: Duration) -> SimReport {
+fn run_with_deadline(trace: &Trace, opts: &ExperimentOpts, deadline: Duration) -> SimReport {
     let mut p = policy::nstd_t(Euclidean, opts.params);
     let cfg = SimConfig {
         frame_budget: TimeBudgetSpec::default().with_deadline(deadline),
@@ -210,7 +210,7 @@ fn main() {
     while fi < fractions.len() {
         let frac = fractions[fi];
         let deadline_us = (median_ms * frac * 1e3).max(1.0) as u64;
-        let report = run_budgeted(&trace, &opts, Duration::from_micros(deadline_us));
+        let report = run_with_deadline(&trace, &opts, Duration::from_micros(deadline_us));
         assert_ledger_balances(&trace, &report);
         demonstrated_nstd_p += report.degradations_to(DispatchTier::NstdP);
         println!(
@@ -242,7 +242,7 @@ fn main() {
 
     // The floor of the ladder: a zero deadline degrades every dispatched
     // frame straight to greedy-nearest, and the run still completes.
-    let zero = run_budgeted(&trace, &opts, Duration::ZERO);
+    let zero = run_with_deadline(&trace, &opts, Duration::ZERO);
     assert_ledger_balances(&trace, &zero);
     assert!(
         zero.degradations_to(DispatchTier::GreedyNearest) > 0,

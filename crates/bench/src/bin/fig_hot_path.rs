@@ -7,10 +7,10 @@
 //! dispatch wall-clock — the quantity the engine reports as
 //! `frame.dispatch_ms` — under three arms:
 //!
-//! * **dense_cold** — dense candidate generation, fresh grid, cold
-//!   deferred acceptance every frame (the pre-sparse pipeline);
+//! * **dense_cold** — the dense oracle: full preference matrices and
+//!   cold deferred acceptance every frame (the pre-sparse pipeline);
 //! * **sparse_cold** — threshold-pruned candidates, fresh grid, cold
-//!   deferred acceptance every frame;
+//!   deferred acceptance every frame (`dispatch` with no carried state);
 //! * **hot** — threshold-pruned candidates over the batched distance
 //!   kernel, delta-synced grid, carried candidate rows, warm-started
 //!   deferred acceptance through the reusable dispatch scratch arena.
@@ -26,10 +26,10 @@
 
 use o2o_bench::{bench_envelope, emit_bench_json, ExperimentOpts, Json};
 use o2o_core::{
-    build_taxi_grid, CandidateMode, IncrementalState, NonSharingDispatcher, PreferenceParams,
+    build_taxi_grid, IncrementalState, NonSharingDispatcher, Objective, PreferenceParams, Schedule,
 };
 use o2o_geo::{heuristic_cell_size, BBox, Euclidean, IncrementalGrid, Metric, Point};
-use o2o_matching::{MatchScratch, PreferenceError, StableInstance, TimeBudgetSpec};
+use o2o_matching::{MatchScratch, PreferenceError, StableInstance, TimeBudget, TimeBudgetSpec};
 use o2o_par::Parallelism;
 use o2o_trace::{Request, RequestId, Taxi, TaxiId};
 use rand::rngs::StdRng;
@@ -89,18 +89,44 @@ fn rolling_frames(seed: u64, n: usize, m: usize) -> (Vec<Frame>, f64) {
     (out, side)
 }
 
-/// Runs a cold arm over the sequence, pushing one per-frame dispatch
-/// time (ms) per frame into `samples`; returns the schedules.
+/// Runs the dense oracle over the sequence, pushing one per-frame
+/// dispatch time (ms) per frame into `samples`; returns the schedules.
+fn run_dense(
+    d: &NonSharingDispatcher<Euclidean>,
+    seq: &[Frame],
+    samples: &mut Vec<f64>,
+) -> Vec<Schedule> {
+    seq.iter()
+        .map(|(taxis, requests)| {
+            let t = Instant::now();
+            let model = d.preferences(taxis, requests);
+            let s = model.to_schedule(taxis, requests, &model.instance.propose());
+            samples.push(t.elapsed().as_secs_f64() * 1e3);
+            s
+        })
+        .collect()
+}
+
+/// Runs the sparse cold arm (fresh grid, no carried state) over the
+/// sequence; per-frame times into `samples`.
 fn run_cold(
     d: &NonSharingDispatcher<Euclidean>,
     seq: &[Frame],
     samples: &mut Vec<f64>,
-) -> Vec<o2o_core::Schedule> {
+) -> Vec<Schedule> {
+    let unlimited = TimeBudget::unlimited();
     seq.iter()
         .map(|(taxis, requests)| {
             let t = Instant::now();
             let grid = build_taxi_grid(taxis);
-            let s = d.passenger_optimal_with_grid(taxis, requests, Some(&grid));
+            let (s, _) = d.dispatch(
+                taxis,
+                requests,
+                Objective::PassengerOptimal,
+                Some(&grid),
+                None,
+                &unlimited,
+            );
             samples.push(t.elapsed().as_secs_f64() * 1e3);
             s
         })
@@ -113,7 +139,8 @@ fn run_hot(
     d: &NonSharingDispatcher<Euclidean>,
     seq: &[Frame],
     samples: &mut Vec<f64>,
-) -> Vec<o2o_core::Schedule> {
+) -> Vec<Schedule> {
+    let unlimited = TimeBudget::unlimited();
     let mut state = IncrementalState::new();
     let mut inc: IncrementalGrid<usize> = IncrementalGrid::new(GRID_REBUILD_THRESHOLD);
     let mut desired: Vec<(usize, Point)> = Vec::new();
@@ -126,7 +153,14 @@ fn run_hot(
                 .unwrap_or_else(|| BBox::square(Point::ORIGIN, 1.0));
             inc.sync(bbox, heuristic_cell_size(bbox), &desired);
             let grid = inc.grid().expect("grid present after sync");
-            let s = d.passenger_optimal_incremental(taxis, requests, Some(grid), &mut state);
+            let (s, _) = d.dispatch(
+                taxis,
+                requests,
+                Objective::PassengerOptimal,
+                Some(grid),
+                Some(&mut state),
+                &unlimited,
+            );
             samples.push(t.elapsed().as_secs_f64() * 1e3);
             s
         })
@@ -200,23 +234,18 @@ fn main() {
         let n = ((n0 as f64 * opts.scale).round() as usize).max(8);
         let m = ((m0 as f64 * opts.scale).round() as usize).max(8);
         let (seq, side) = rolling_frames(opts.seed.wrapping_add(ci as u64), n, m);
-        let dense = NonSharingDispatcher::new(Euclidean, params)
-            .with_candidate_mode(CandidateMode::Dense)
-            .with_parallelism(Parallelism::auto());
-        let sparse = NonSharingDispatcher::new(Euclidean, params)
-            .with_candidate_mode(CandidateMode::Sparse)
-            .with_parallelism(Parallelism::auto());
+        let d = NonSharingDispatcher::new(Euclidean, params).with_parallelism(Parallelism::auto());
 
         // Exactness first: all three arms, bit for bit, on every frame.
         let mut scrap = Vec::new();
-        let s_dense = run_cold(&dense, &seq, &mut scrap);
+        let s_dense = run_dense(&d, &seq, &mut scrap);
         assert_eq!(
-            run_cold(&sparse, &seq, &mut scrap),
+            run_cold(&d, &seq, &mut scrap),
             s_dense,
             "sparse-cold diverged from dense at {n}x{m}"
         );
         assert_eq!(
-            run_hot(&sparse, &seq, &mut scrap),
+            run_hot(&d, &seq, &mut scrap),
             s_dense,
             "hot diverged from dense at {n}x{m}"
         );
@@ -226,9 +255,9 @@ fn main() {
         // Interleaved so slow phases of a shared machine hit all arms
         // alike; per-frame samples pool across reps.
         for _ in 0..reps {
-            std::hint::black_box(run_cold(&dense, &seq, &mut sd));
-            std::hint::black_box(run_cold(&sparse, &seq, &mut ss));
-            std::hint::black_box(run_hot(&sparse, &seq, &mut sh));
+            std::hint::black_box(run_dense(&d, &seq, &mut sd));
+            std::hint::black_box(run_cold(&d, &seq, &mut ss));
+            std::hint::black_box(run_hot(&d, &seq, &mut sh));
         }
         let (dense_min, dense_med) = summarize(&mut sd);
         let (sparse_min, sparse_med) = summarize(&mut ss);
@@ -314,9 +343,7 @@ fn main() {
     // ── Anytime NSTD-T: measured optimality gap per node budget ───────
     let (seq, _) = rolling_frames(opts.seed.wrapping_add(7), n.min(400), m.min(400));
     let (taxis, requests) = &seq[0];
-    let sparse = NonSharingDispatcher::new(Euclidean, params)
-        .with_candidate_mode(CandidateMode::Sparse)
-        .with_parallelism(Parallelism::auto());
+    let sparse = NonSharingDispatcher::new(Euclidean, params).with_parallelism(Parallelism::auto());
     let exact = sparse.taxi_optimal(taxis, requests);
     let mut anytime_rows = Vec::new();
     println!(
@@ -326,7 +353,7 @@ fn main() {
     for cap in [Some(0u64), Some(4), Some(32), Some(256), Some(2048), None] {
         let budget = match cap {
             Some(c) => TimeBudgetSpec::unlimited().with_node_cap(c).start(),
-            None => o2o_matching::TimeBudget::unlimited(),
+            None => TimeBudget::unlimited(),
         };
         let t = Instant::now();
         let (schedule, outcome) = sparse.taxi_optimal_anytime(taxis, requests, None, &budget);

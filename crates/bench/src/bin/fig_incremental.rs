@@ -22,7 +22,10 @@
 //! Output: `results/BENCH_incremental.json`.
 
 use o2o_bench::{bench_envelope, emit_bench_json, ExperimentOpts, Json};
-use o2o_core::{build_taxi_grid, IncrementalState, NonSharingDispatcher, PreferenceParams};
+use o2o_core::{
+    build_taxi_grid, IncrementalState, NonSharingDispatcher, Objective, PreferenceParams,
+    TimeBudget,
+};
 use o2o_geo::{heuristic_cell_size, BBox, DistanceCache, IncrementalGrid, Point, RoadNetwork};
 use o2o_trace::{Request, RequestId, Taxi, TaxiId};
 use rand::rngs::StdRng;
@@ -111,7 +114,16 @@ fn run_cold(
         .map(|(taxis, requests)| {
             cache.clear();
             let grid = build_taxi_grid(taxis);
-            d.passenger_optimal_with_grid(taxis, requests, Some(&grid))
+            let unlimited = TimeBudget::unlimited();
+            d.dispatch(
+                taxis,
+                requests,
+                Objective::PassengerOptimal,
+                Some(&grid),
+                None,
+                &unlimited,
+            )
+            .0
         })
         .collect();
     let stats = cache.stats();
@@ -158,7 +170,17 @@ fn run_warm(
                 .unwrap_or_else(|| BBox::square(Point::ORIGIN, 1.0));
             inc.sync(bbox, heuristic_cell_size(bbox), &desired);
             let grid = inc.grid().expect("grid present after sync");
-            d.passenger_optimal_incremental(taxis, requests, Some(grid), &mut state)
+            let unlimited = TimeBudget::unlimited();
+            let objective = Objective::PassengerOptimal;
+            d.dispatch(
+                taxis,
+                requests,
+                objective,
+                Some(grid),
+                Some(&mut state),
+                &unlimited,
+            )
+            .0
         })
         .collect();
     let stats = cache.stats();

@@ -1,4 +1,4 @@
-//! Sparse vs dense candidate generation: frame-dispatch wall-clock as
+//! Sparse dispatch vs the dense oracle: frame-dispatch wall-clock as
 //! instance size and threshold density grow.
 //!
 //! Sweeps |T| × |R| frames at constant city density (the area grows with
@@ -11,9 +11,7 @@
 //! Output: `results/BENCH_sparse_scaling.json`.
 
 use o2o_bench::{bench_envelope, emit_bench_json, ExperimentOpts, Json};
-use o2o_core::{
-    build_taxi_grid, candidate_radius, CandidateMode, NonSharingDispatcher, PreferenceParams,
-};
+use o2o_core::{build_taxi_grid, candidate_radius, NonSharingDispatcher, PreferenceParams};
 use o2o_geo::{Euclidean, Point};
 use o2o_par::Parallelism;
 use o2o_trace::{Request, RequestId, Taxi, TaxiId};
@@ -49,6 +47,23 @@ fn frame(seed: u64, n: usize, m: usize) -> (Vec<Taxi>, Vec<Request>, f64) {
         })
         .collect();
     (taxis, requests, side)
+}
+
+/// The dense oracle: deferred acceptance (requests proposing, or taxis
+/// when `taxi_optimal`) on the full preference matrices.
+fn dense(
+    d: &NonSharingDispatcher<Euclidean>,
+    taxis: &[Taxi],
+    requests: &[Request],
+    taxi_optimal: bool,
+) -> o2o_core::Schedule {
+    let model = d.preferences(taxis, requests);
+    let m = if taxi_optimal {
+        model.instance.reviewer_optimal()
+    } else {
+        model.instance.propose()
+    };
+    model.to_schedule(taxis, requests, &m)
 }
 
 fn time_ms(reps: usize, mut f: impl FnMut()) -> (f64, f64) {
@@ -90,29 +105,24 @@ fn main() {
     for (ci, &(n, m)) in sizes.iter().enumerate() {
         let (taxis, requests, side) = frame(opts.seed.wrapping_add(ci as u64), n, m);
         for (label, params) in thresholds {
-            let dense = NonSharingDispatcher::new(Euclidean, params)
-                .with_candidate_mode(CandidateMode::Dense)
-                .with_parallelism(Parallelism::auto());
-            let sparse = NonSharingDispatcher::new(Euclidean, params)
-                .with_candidate_mode(CandidateMode::Sparse)
-                .with_parallelism(Parallelism::auto());
+            let sparse =
+                NonSharingDispatcher::new(Euclidean, params).with_parallelism(Parallelism::auto());
 
             // Exactness first: both NSTD variants, bit for bit.
-            let p_dense = dense.passenger_optimal(&taxis, &requests);
             assert_eq!(
                 sparse.passenger_optimal(&taxis, &requests),
-                p_dense,
+                dense(&sparse, &taxis, &requests, false),
                 "sparse NSTD-P diverged at {n}x{m}/{label}"
             );
             assert_eq!(
                 sparse.taxi_optimal(&taxis, &requests),
-                dense.taxi_optimal(&taxis, &requests),
+                dense(&sparse, &taxis, &requests, true),
                 "sparse NSTD-T diverged at {n}x{m}/{label}"
             );
 
             let reps = if n >= 1000 { 3 } else { 5 };
             let (dense_min, dense_med) = time_ms(reps, || {
-                std::hint::black_box(dense.passenger_optimal(&taxis, &requests));
+                std::hint::black_box(dense(&sparse, &taxis, &requests, false));
             });
             let (sparse_min, sparse_med) = time_ms(reps, || {
                 std::hint::black_box(sparse.passenger_optimal(&taxis, &requests));

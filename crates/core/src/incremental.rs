@@ -31,7 +31,6 @@
 
 use o2o_matching::{MatchScratch, Matching};
 use o2o_trace::{Request, RequestId, Taxi, TaxiId};
-use std::collections::HashMap;
 
 /// Reusable per-frame working memory for the dispatch hot path.
 ///
@@ -41,7 +40,7 @@ use std::collections::HashMap;
 /// its buffers have grown to the steady-state frame shape, the warm
 /// dispatch path performs no heap allocation — the deferred-acceptance
 /// buffers (proposal queues, partner arrays, matching pool) come from
-/// `matcher`, the seed re-indexing tables from the maps here, and the
+/// `matcher`, the seed re-indexing from the carry's id maps, and the
 /// sparse candidate rows from [`IncrementalState`]'s carry.
 ///
 /// Purely a memory-placement concern: every result is bit-identical to
@@ -54,26 +53,6 @@ pub struct DispatchScratch {
     /// The current frame's warm seed, re-expressed in frame indices
     /// (refreshed by [`IncrementalState::refresh_seed`]).
     pub(crate) seed: Vec<(usize, usize)>,
-    /// Taxi id → current frame index (seed re-expression).
-    taxi_at: HashMap<TaxiId, usize>,
-    /// Request id → current frame index (seed re-expression).
-    request_at: HashMap<RequestId, usize>,
-}
-
-/// Whether an NSTD dispatch warm-starts from the previous frame.
-///
-/// Both modes produce **bit-identical schedules**; they differ only in
-/// how much proposal work is redone per frame. `Cold` exists for A/B
-/// benchmarking and as the escape hatch if warm-start overhead ever
-/// exceeds its savings on a workload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IncrementalMode {
-    /// Seed deferred acceptance from the previous frame's matching (the
-    /// default).
-    #[default]
-    Warm,
-    /// Re-run every frame from scratch.
-    Cold,
 }
 
 /// Carries the previous frame's stable matching across frames as a
@@ -120,32 +99,22 @@ impl IncrementalState {
     }
 
     /// Re-expresses the carried matching in the current frame's indices,
-    /// into the scratch arena's seed buffer (`self.scratch.seed`). Pairs
-    /// whose request or taxi is no longer in the frame are dropped here;
-    /// pairs whose *preferences* changed are dropped later by the seeded
-    /// proposal path's own validation. All working memory (the id → index
-    /// maps and the seed itself) is reused across frames.
-    pub(crate) fn refresh_seed(&mut self, taxis: &[Taxi], requests: &[Request]) {
-        let DispatchScratch {
-            seed,
-            taxi_at,
-            request_at,
-            ..
-        } = &mut self.scratch;
+    /// into the scratch arena's seed buffer (`self.scratch.seed`), through
+    /// the id maps the candidate carry built for this frame — so it must
+    /// run after this frame's
+    /// [`SparsePreferenceModel::build_incremental`](crate::SparsePreferenceModel::build_incremental)
+    /// on `self.rows`. Pairs whose request or taxi is no longer in the
+    /// frame are dropped here; pairs whose *preferences* changed are
+    /// dropped later by the seeded proposal path's own validation.
+    pub(crate) fn refresh_seed(&mut self) {
+        let rows = &self.rows;
+        let seed = &mut self.scratch.seed;
         seed.clear();
-        if self.prev.is_empty() {
-            return;
-        }
-        taxi_at.clear();
-        taxi_at.extend(taxis.iter().enumerate().map(|(i, t)| (t.id, i)));
-        request_at.clear();
-        request_at.extend(requests.iter().enumerate().map(|(j, r)| (r.id, j)));
-        seed.extend(self.prev.iter().filter_map(|&(rid, tid)| {
-            match (request_at.get(&rid), taxi_at.get(&tid)) {
-                (Some(&j), Some(&i)) => Some((j, i)),
-                _ => None,
-            }
-        }));
+        seed.extend(
+            self.prev
+                .iter()
+                .filter_map(|&(rid, tid)| Some((rows.request_index(rid)?, rows.taxi_index(tid)?))),
+        );
     }
 
     /// Stores this frame's matching (in frame indices) for the next frame.
@@ -153,5 +122,85 @@ impl IncrementalState {
         self.prev.clear();
         self.prev
             .extend(m.pairs().map(|(j, i)| (requests[j].id, taxis[i].id)));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{PreferenceParams, SparsePreferenceModel};
+    use o2o_geo::{Euclidean, Point};
+    use o2o_par::Parallelism;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::HashMap;
+
+    /// The re-expression rule the warm seed must keep: fresh id → index
+    /// maps of the current frame, the last index winning for duplicate
+    /// ids.
+    fn map_rule(
+        prev: &[(RequestId, TaxiId)],
+        taxis: &[Taxi],
+        requests: &[Request],
+    ) -> Vec<(usize, usize)> {
+        let taxi_at: HashMap<TaxiId, usize> =
+            taxis.iter().enumerate().map(|(i, t)| (t.id, i)).collect();
+        let request_at: HashMap<RequestId, usize> = requests
+            .iter()
+            .enumerate()
+            .map(|(j, r)| (r.id, j))
+            .collect();
+        prev.iter()
+            .filter_map(|(r, t)| Some((*request_at.get(r)?, *taxi_at.get(t)?)))
+            .collect()
+    }
+
+    #[test]
+    fn seed_re_expression_matches_the_map_rule_under_churn_and_duplicate_ids() {
+        let mut rng = StdRng::seed_from_u64(0x5EED);
+        let params = PreferenceParams::unbounded();
+        let mut state = IncrementalState::new();
+        let (mut seeded, mut duplicated) = (0, 0);
+        for frame in 0..60 {
+            // Ids from a small pool: consecutive frames share some ids,
+            // drop others, and repeat ids within one frame.
+            let pt =
+                |rng: &mut StdRng| Point::new(rng.gen_range(0.0..5.0), rng.gen_range(0.0..5.0));
+            let taxis: Vec<Taxi> = (0..frame % 7 + 1)
+                .map(|_| Taxi::new(TaxiId(rng.gen_range(0..9)), pt(&mut rng)))
+                .collect();
+            let requests: Vec<Request> = (0..frame % 5 + 1)
+                .map(|_| {
+                    let id = RequestId(rng.gen_range(0..9));
+                    Request::new(id, 0, pt(&mut rng), pt(&mut rng))
+                })
+                .collect();
+            let _ = SparsePreferenceModel::build_incremental(
+                &Euclidean,
+                &params,
+                &taxis,
+                &requests,
+                Parallelism::sequential(),
+                None,
+                &mut state.rows,
+            );
+            state.refresh_seed();
+            let expected = map_rule(&state.prev, &taxis, &requests);
+            assert_eq!(state.scratch.seed, expected, "frame {frame}");
+            seeded += usize::from(!expected.is_empty());
+            let distinct: std::collections::HashSet<_> = taxis.iter().map(|t| t.id).collect();
+            duplicated += usize::from(distinct.len() < taxis.len());
+            // Carry an arbitrary one-to-one matching to the next frame.
+            let (nr, nt) = (requests.len(), taxis.len());
+            let mut m = Matching::empty(nr, nt);
+            for j in 0..nr.min(nt) {
+                m.link(j, (j + frame) % nt);
+            }
+            state.record(&taxis, &requests, &m);
+        }
+        assert!(
+            seeded > 10 && duplicated > 10,
+            "{seeded} seeded, {duplicated} duplicated"
+        );
     }
 }

@@ -11,8 +11,8 @@
 //! | Paper artefact | Here |
 //! |---|---|
 //! | §IV.A interest models (`D(t,r^s)`, `D(t,r^s) − α·D(r^s,r^d)`) | [`prefs`] |
-//! | Algorithm 1 (**NSTD-P**, passenger-optimal) | [`NonSharingDispatcher::passenger_optimal`] |
-//! | Algorithm 2 (all stable matchings, Rules 1–3; **NSTD-T**) | [`NonSharingDispatcher::all_schedules`] / [`NonSharingDispatcher::taxi_optimal`] |
+//! | Algorithm 1 (**NSTD-P**, passenger-optimal) | [`NonSharingDispatcher::dispatch`] with [`Objective::PassengerOptimal`] |
+//! | Algorithm 2 (all stable matchings, Rules 1–3; **NSTD-T**) | [`NonSharingDispatcher::all_schedules`] / [`Objective::TaxiOptimal`] |
 //! | Company's pick among stable matchings | [`NonSharingDispatcher::company_optimal`] |
 //! | §V shared-route search (Theorem 5; exhaustive ≤ 90 orders) | [`shared_route`] |
 //! | Algorithm 3 (**STD-P / STD-T**, set packing + Algorithm 1) | [`SharingDispatcher`] |
@@ -43,14 +43,13 @@ mod nstd;
 mod params;
 pub mod prefs;
 mod schedule;
-pub mod shard;
 pub mod shared_route;
 mod std_sharing;
 
 pub use company::{fare_revenue, CompanyObjective, FareModel};
 pub use degrade::{DegradeReason, Degraded, DispatchTier};
-pub use incremental::{DispatchScratch, IncrementalMode, IncrementalState};
-pub use nstd::{AnytimeOutcome, CandidateMode, NonSharingDispatcher};
+pub use incremental::{DispatchScratch, IncrementalState};
+pub use nstd::{AnytimeOutcome, NonSharingDispatcher, Objective};
 pub use o2o_matching::{TimeBudget, TimeBudgetSpec};
 pub use params::PreferenceParams;
 pub use prefs::{
@@ -58,7 +57,6 @@ pub use prefs::{
     SparsePreferenceModel,
 };
 pub use schedule::{DispatchOutcome, Schedule};
-pub use shard::{ShardInstance, ShardMembers, ShardMode, ShardPlan, ShardSpec, ShardStats};
 pub use shared_route::{RoutePlan, Stop, StopKind};
 pub use std_sharing::{
     GroupAssignment, PackingObjective, SharingConfig, SharingDispatcher, SharingSchedule,

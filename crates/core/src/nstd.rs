@@ -2,34 +2,33 @@
 
 use crate::company::CompanyObjective;
 use crate::degrade::{DegradeReason, Degraded, DispatchTier};
-use crate::prefs::{PickupDistances, PreferenceModel, SparsePreferenceModel};
-use crate::shard::{ShardMode, ShardPlan, ShardSpec, ShardStats};
-use crate::{PreferenceParams, Schedule};
+use crate::prefs::{PreferenceModel, SparsePreferenceModel};
+use crate::{IncrementalState, PreferenceParams, Schedule};
 use o2o_geo::{GridIndex, Metric};
-use o2o_matching::{MatchScratch, Matching, StableInstance, TimeBudget};
+use o2o_matching::{Matching, TimeBudget};
 use o2o_obs as obs;
 use o2o_par::Parallelism;
 use o2o_trace::{Request, RequestId, Taxi, TaxiId};
-use std::time::Instant;
 
-fn elapsed_ms(start: Instant) -> f64 {
-    start.elapsed().as_secs_f64() * 1e3
+/// Which stable schedule [`NonSharingDispatcher::dispatch`] computes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Objective {
+    /// **NSTD-P** (Algorithm 1): requests propose, so every request gets
+    /// its best taxi among all stable schedules.
+    PassengerOptimal,
+    /// **NSTD-T**: taxis propose (role-swapped deferred acceptance), so
+    /// every taxi gets its best request among all stable schedules.
+    TaxiOptimal,
 }
 
-/// How a [`NonSharingDispatcher`] builds its per-frame preference lists.
-///
-/// Both modes produce **bit-identical schedules** for every algorithm the
-/// dispatcher exposes (property-tested in `tests/sparse_equivalence.rs`);
-/// they differ only in cost: dense materialises the full `|R|×|T|` matrix,
-/// sparse enumerates only candidates within the dummy thresholds via a
-/// taxi grid — near-linear per frame at paper-scale thresholds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CandidateMode {
-    /// Full `|R|×|T|` preference matrices (the original path).
-    Dense,
-    /// Grid-pruned candidate generation (the default).
-    #[default]
-    Sparse,
+impl Objective {
+    /// The degradation-ladder rung this objective runs on.
+    fn tier(self) -> DispatchTier {
+        match self {
+            Objective::PassengerOptimal => DispatchTier::NstdP,
+            Objective::TaxiOptimal => DispatchTier::NstdT,
+        }
+    }
 }
 
 /// Outcome metadata of one anytime NSTD-T dispatch
@@ -61,42 +60,15 @@ impl AnytimeOutcome {
     }
 }
 
-/// A frame's preference model in either candidate mode.
-#[derive(Debug, Clone)]
-enum FrameModel {
-    Dense(PreferenceModel),
-    Sparse(SparsePreferenceModel),
-}
-
-impl FrameModel {
-    fn instance(&self) -> &StableInstance {
-        match self {
-            FrameModel::Dense(m) => &m.instance,
-            FrameModel::Sparse(m) => &m.instance,
-        }
-    }
-
-    /// `D(t_i, r_j^s)` for a matched (hence mutually acceptable) pair.
-    fn pickup(&self, j: usize, i: usize) -> f64 {
-        match self {
-            FrameModel::Dense(m) => m.pickup[j][i],
-            FrameModel::Sparse(m) => m.pickup(j, i).expect("matched pair is mutually acceptable"),
-        }
-    }
-
-    /// Driver score for a matched (hence mutually acceptable) pair.
-    fn score(&self, i: usize, j: usize) -> f64 {
-        match self {
-            FrameModel::Dense(m) => m.score[i][j],
-            FrameModel::Sparse(m) => m.score(i, j).expect("matched pair is mutually acceptable"),
-        }
-    }
-}
-
 /// Non-sharing dispatcher: one request per taxi (§IV).
 ///
-/// Wraps a metric and the interest-model parameters; each dispatch call is
-/// a pure function of the current frame's idle taxis and pending requests.
+/// Wraps a metric and the interest-model parameters. Every stable
+/// schedule is computed on the frame's sparse preference model
+/// ([`SparsePreferenceModel`]: grid-pruned candidates, mutually acceptable
+/// pairs only); the dense [`PreferenceModel`] from
+/// [`preferences`](Self::preferences) is the reference it is tested
+/// against, and the model [`egalitarian`](Self::egalitarian) and the
+/// stability checks read.
 ///
 /// # Examples
 ///
@@ -119,8 +91,6 @@ pub struct NonSharingDispatcher<M> {
     metric: M,
     params: PreferenceParams,
     par: Parallelism,
-    mode: CandidateMode,
-    shard: ShardMode,
 }
 
 impl<M: Metric> NonSharingDispatcher<M> {
@@ -137,8 +107,6 @@ impl<M: Metric> NonSharingDispatcher<M> {
             metric,
             params,
             par: Parallelism::sequential(),
-            mode: CandidateMode::default(),
-            shard: ShardMode::default(),
         }
     }
 
@@ -169,72 +137,17 @@ impl<M: Metric> NonSharingDispatcher<M> {
         self.par
     }
 
-    /// Sets the candidate-generation mode. Schedules are bit-identical in
-    /// both modes; see [`CandidateMode`].
-    #[must_use]
-    pub fn with_candidate_mode(mut self, mode: CandidateMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
-    /// The candidate-generation mode in use.
-    #[must_use]
-    pub fn candidate_mode(&self) -> CandidateMode {
-        self.mode
-    }
-
-    /// Sets the shard mode. Schedules are bit-identical in every mode
-    /// (property-tested in `tests/shard_equivalence.rs`); sharding only
-    /// changes how the matching work is decomposed. The sharded path
-    /// engages on the sparse grid paths
-    /// ([`passenger_optimal_with_grid`](Self::passenger_optimal_with_grid),
-    /// [`taxi_optimal_with_grid`](Self::taxi_optimal_with_grid), the cold
-    /// budgeted paths) and on
-    /// [`greedy_nearest`](Self::greedy_nearest); dense-matrix and
-    /// warm-incremental calls ignore it (the warm path's carried seed
-    /// already plays the role the shard seed would).
-    #[must_use]
-    pub fn with_shard_mode(mut self, shard: ShardMode) -> Self {
-        self.shard = shard;
-        self
-    }
-
-    /// The shard mode in use.
-    #[must_use]
-    pub fn shard_mode(&self) -> ShardMode {
-        self.shard
-    }
-
-    /// Builds the frame's preference model (exposed for inspection,
-    /// ablations and reuse across the `*_optimal` variants).
+    /// Builds the frame's dense preference model: full `|R|×|T|` cost
+    /// matrices and unpruned lists. The reference the sparse dispatch path
+    /// is tested against; convert a matching on it with
+    /// [`PreferenceModel::to_schedule`].
     #[must_use]
     pub fn preferences(&self, taxis: &[Taxi], requests: &[Request]) -> PreferenceModel {
-        self.preferences_with(taxis, requests, None)
+        PreferenceModel::build_with(&self.metric, &self.params, taxis, requests, self.par, None)
     }
 
-    /// [`preferences`](Self::preferences), reusing a precomputed pick-up
-    /// distance matrix (e.g. the simulator's per-frame precomputation).
-    #[must_use]
-    pub fn preferences_with(
-        &self,
-        taxis: &[Taxi],
-        requests: &[Request],
-        pickup_distances: Option<&PickupDistances>,
-    ) -> PreferenceModel {
-        PreferenceModel::build_with(
-            &self.metric,
-            &self.params,
-            taxis,
-            requests,
-            self.par,
-            pickup_distances,
-        )
-    }
-
-    /// Builds the frame's sparse preference model, optionally reusing a
-    /// shared per-frame taxi grid (see [`crate::build_taxi_grid`]).
-    #[must_use]
-    pub fn sparse_preferences(
+    /// The frame's sparse preference model, built cold.
+    fn sparse_model(
         &self,
         taxis: &[Taxi],
         requests: &[Request],
@@ -250,336 +163,145 @@ impl<M: Metric> NonSharingDispatcher<M> {
         )
     }
 
-    /// [`frame_model`](Self::frame_model) for the `*_incremental` paths:
-    /// on the sparse path, unchanged requests patch their candidate rows
-    /// from the carry in `state` instead of re-querying grid and metric
-    /// (bit-identical; see
-    /// [`SparsePreferenceModel::build_incremental`]). Dense mode
-    /// ignores the carry.
-    fn frame_model_incremental(
-        &self,
-        taxis: &[Taxi],
-        requests: &[Request],
-        taxi_grid: Option<&GridIndex<usize>>,
-        state: &mut crate::IncrementalState,
-    ) -> FrameModel {
-        if self.mode == CandidateMode::Dense {
-            FrameModel::Dense(self.preferences_with(taxis, requests, None))
-        } else {
-            FrameModel::Sparse(SparsePreferenceModel::build_incremental(
-                &self.metric,
-                &self.params,
-                taxis,
-                requests,
-                self.par,
-                taxi_grid,
-                &mut state.rows,
-            ))
-        }
-    }
-
-    /// Builds the frame model in the configured [`CandidateMode`].
-    ///
-    /// A provided dense pick-up matrix forces the dense path (that is its
-    /// contract — the matrix *is* the dense precomputation); a provided
-    /// taxi grid is only consulted on the sparse path.
-    fn frame_model(
-        &self,
-        taxis: &[Taxi],
-        requests: &[Request],
-        pickup_distances: Option<&PickupDistances>,
-        taxi_grid: Option<&GridIndex<usize>>,
-    ) -> FrameModel {
-        if self.mode == CandidateMode::Dense || pickup_distances.is_some() {
-            FrameModel::Dense(self.preferences_with(taxis, requests, pickup_distances))
-        } else {
-            FrameModel::Sparse(self.sparse_preferences(taxis, requests, taxi_grid))
-        }
-    }
-
     /// **Algorithm 1 (NSTD-P)**: the passenger-optimal stable schedule.
     ///
     /// Among all stable schedules, every request gets its best achievable
     /// taxi (Property 2); requests unserved here are unserved in every
-    /// stable schedule (Theorem 2). `O(|R|·|T|)` after preference
-    /// construction.
+    /// stable schedule (Theorem 2). Cold, unbudgeted
+    /// [`dispatch`](Self::dispatch).
     #[must_use]
     pub fn passenger_optimal(&self, taxis: &[Taxi], requests: &[Request]) -> Schedule {
-        self.passenger_optimal_with(taxis, requests, None)
-    }
-
-    /// [`passenger_optimal`](Self::passenger_optimal), reusing a
-    /// precomputed pick-up distance matrix.
-    #[must_use]
-    pub fn passenger_optimal_with(
-        &self,
-        taxis: &[Taxi],
-        requests: &[Request],
-        pickup_distances: Option<&PickupDistances>,
-    ) -> Schedule {
-        let model = self.frame_model(taxis, requests, pickup_distances, None);
-        let m = model.instance().propose();
-        self.to_schedule(taxis, requests, &model, &m)
-    }
-
-    /// [`passenger_optimal`](Self::passenger_optimal), reusing a shared
-    /// per-frame taxi grid on the sparse path (ignored in dense mode).
-    #[must_use]
-    pub fn passenger_optimal_with_grid(
-        &self,
-        taxis: &[Taxi],
-        requests: &[Request],
-        taxi_grid: Option<&GridIndex<usize>>,
-    ) -> Schedule {
-        let model = self.frame_model(taxis, requests, None, taxi_grid);
-        let m = match (self.shard, &model) {
-            (ShardMode::Sharded(spec), FrameModel::Sparse(_)) => {
-                self.sharded_match(taxis, requests, &model, &spec, false).0
-            }
-            _ => model.instance().propose(),
-        };
-        self.to_schedule(taxis, requests, &model, &m)
-    }
-
-    /// [`passenger_optimal`](Self::passenger_optimal), warm-started from
-    /// the previous frame's matching carried in `state` (and recording
-    /// this frame's matching back into it for the next call).
-    ///
-    /// Bit-identical to the cold
-    /// [`passenger_optimal_with_grid`](Self::passenger_optimal_with_grid)
-    /// for **every** frame delta: the seed is revalidated against the
-    /// current frame's preference lists before deferred acceptance
-    /// resumes, so stale pairs are pruned rather than trusted (see
-    /// [`crate::IncrementalState`]). Property-tested in
-    /// `tests/warm_equivalence.rs`.
-    #[must_use]
-    pub fn passenger_optimal_incremental(
-        &self,
-        taxis: &[Taxi],
-        requests: &[Request],
-        taxi_grid: Option<&GridIndex<usize>>,
-        state: &mut crate::IncrementalState,
-    ) -> Schedule {
-        let model = self.frame_model_incremental(taxis, requests, taxi_grid, state);
-        state.refresh_seed(taxis, requests);
-        let m = model
-            .instance()
-            .propose_seeded_with(&state.scratch.seed, &mut state.scratch.matcher);
-        state.record(taxis, requests, &m);
-        let schedule = self.to_schedule(taxis, requests, &model, &m);
-        state.scratch.matcher.recycle(m);
-        schedule
+        self.dispatch(
+            taxis,
+            requests,
+            Objective::PassengerOptimal,
+            None,
+            None,
+            &TimeBudget::unlimited(),
+        )
+        .0
     }
 
     /// **NSTD-T**: the taxi-optimal stable schedule.
     ///
     /// Computed by role-swapped deferred acceptance (taxis propose), which
     /// coincides with picking the taxi-best schedule from Algorithm 2's
-    /// enumeration (property-tested in this crate).
+    /// enumeration (property-tested in this crate). Cold, unbudgeted
+    /// [`dispatch`](Self::dispatch).
     #[must_use]
     pub fn taxi_optimal(&self, taxis: &[Taxi], requests: &[Request]) -> Schedule {
-        self.taxi_optimal_with(taxis, requests, None)
+        self.dispatch(
+            taxis,
+            requests,
+            Objective::TaxiOptimal,
+            None,
+            None,
+            &TimeBudget::unlimited(),
+        )
+        .0
     }
 
-    /// [`taxi_optimal`](Self::taxi_optimal), reusing a precomputed
-    /// pick-up distance matrix.
-    #[must_use]
-    pub fn taxi_optimal_with(
-        &self,
-        taxis: &[Taxi],
-        requests: &[Request],
-        pickup_distances: Option<&PickupDistances>,
-    ) -> Schedule {
-        let model = self.frame_model(taxis, requests, pickup_distances, None);
-        let m = model.instance().reviewer_optimal();
-        self.to_schedule(taxis, requests, &model, &m)
-    }
-
-    /// [`taxi_optimal`](Self::taxi_optimal), reusing a shared per-frame
-    /// taxi grid on the sparse path (ignored in dense mode).
-    #[must_use]
-    pub fn taxi_optimal_with_grid(
-        &self,
-        taxis: &[Taxi],
-        requests: &[Request],
-        taxi_grid: Option<&GridIndex<usize>>,
-    ) -> Schedule {
-        let model = self.frame_model(taxis, requests, None, taxi_grid);
-        let m = match (self.shard, &model) {
-            (ShardMode::Sharded(spec), FrameModel::Sparse(_)) => {
-                self.sharded_match(taxis, requests, &model, &spec, true).0
-            }
-            _ => model.instance().reviewer_optimal(),
-        };
-        self.to_schedule(taxis, requests, &model, &m)
-    }
-
-    /// [`taxi_optimal`](Self::taxi_optimal), warm-started from the
-    /// previous frame's matching carried in `state`. Bit-identical to the
-    /// cold [`taxi_optimal_with_grid`](Self::taxi_optimal_with_grid) for
-    /// every frame delta (see
-    /// [`passenger_optimal_incremental`](Self::passenger_optimal_incremental);
-    /// the seed validation happens on the role-swapped instance).
-    #[must_use]
-    pub fn taxi_optimal_incremental(
-        &self,
-        taxis: &[Taxi],
-        requests: &[Request],
-        taxi_grid: Option<&GridIndex<usize>>,
-        state: &mut crate::IncrementalState,
-    ) -> Schedule {
-        let model = self.frame_model_incremental(taxis, requests, taxi_grid, state);
-        state.refresh_seed(taxis, requests);
-        let m = model
-            .instance()
-            .reviewer_optimal_seeded_with(&state.scratch.seed, &mut state.scratch.matcher);
-        state.record(taxis, requests, &m);
-        let schedule = self.to_schedule(taxis, requests, &model, &m);
-        state.scratch.matcher.recycle(m);
-        schedule
-    }
-
-    /// Per-request trip distances under the dispatch metric, computed in
-    /// parallel — the input the shard planner derives interaction radii
-    /// from (identical to the values the preference builders use).
-    fn trip_distances(&self, requests: &[Request]) -> Vec<f64> {
-        o2o_par::par_map(self.par, (0..requests.len()).collect(), |j| {
-            requests[j].trip_distance(&self.metric)
-        })
-    }
-
-    /// Records a sharded dispatch's structure counters on the current
-    /// [`o2o_obs`] recorder (called from the coordinating thread — the
-    /// fork-join workers have no recorder scope installed).
-    fn record_shard_counters(stats: &ShardStats) {
-        obs::add_many(&[
-            ("shard.frames", 1),
-            ("shard.regions", stats.regions as u64),
-            ("shard.occupied", stats.occupied as u64),
-            ("shard.boundary_taxis", stats.boundary_taxis as u64),
-            ("shard.boundary_requests", stats.boundary_requests as u64),
-            ("shard.seed_pairs", stats.seed_pairs as u64),
-        ]);
-    }
-
-    /// The sharded matching pipeline on an already-built frame model:
-    /// shard plan → per-region deferred acceptance (deterministic
-    /// fork-join, one sub-instance per occupied region) → one *seeded*
-    /// global deferred-acceptance pass that reconciles the boundary band.
+    /// One frame of NSTD dispatch: the `objective`'s stable schedule under
+    /// a per-frame [`TimeBudget`].
     ///
-    /// Exactness does not depend on the partition: the reconciliation is
-    /// [`StableInstance::propose_seeded_with`], which produces the same
-    /// matching as a cold global pass for **any** seed (McVitie–Wilson
-    /// proposal-order independence; the seed is revalidated before the
-    /// resume). The spatial plan makes the seed nearly complete — interior
-    /// entities are provably already matched exactly — so the global pass
-    /// only re-derives the boundary band.
-    fn sharded_match(
+    /// `taxi_grid` is an optional shared per-frame taxi grid (see
+    /// [`crate::build_taxi_grid`]); without one the dispatcher builds its
+    /// own. `state: Some` is the warm path: unchanged requests patch their
+    /// candidate rows from the previous frame (see
+    /// [`SparsePreferenceModel::build_incremental`]), deferred acceptance
+    /// resumes from the previous frame's matching, and this frame's
+    /// matching is recorded for the next call. The seed is revalidated
+    /// against the current frame's lists before the resume, so warm and
+    /// cold (`state: None`) schedules are bit-identical for **every**
+    /// frame delta (see [`IncrementalState`]; property-tested in
+    /// `tests/warm_equivalence.rs`).
+    ///
+    /// The degradation ladder, each step reported as a [`Degraded`]
+    /// marker:
+    ///
+    /// * deadline already passed at entry — greedy-nearest, with the
+    ///   carried state cleared (a greedy schedule is not a stable matching
+    ///   and must not seed the next frame); preference construction is the
+    ///   dominant cost, so it is the one thing an exhausted frame must not
+    ///   start;
+    /// * NSTD-T only: deadline passed during preference construction —
+    ///   NSTD-P on the just-built model, the cheapest stable answer it
+    ///   affords.
+    ///
+    /// With an unlimited budget there is no marker.
+    #[must_use]
+    pub fn dispatch(
         &self,
         taxis: &[Taxi],
         requests: &[Request],
-        model: &FrameModel,
-        spec: &ShardSpec,
-        taxi_side: bool,
-    ) -> (Matching, ShardStats) {
-        let t_partition = Instant::now();
-        let plan = {
-            let _span = obs::span("shard_partition");
-            let trips = self.trip_distances(requests);
-            ShardPlan::build(spec, &self.params, taxis, requests, &trips)
-        };
-        let occupied = plan.occupied_regions();
-        let partition_ms = elapsed_ms(t_partition);
-
-        // Per-shard extract + deferred acceptance. `par_map` preserves
-        // input order, and shards own disjoint request sets, so the
-        // concatenated seed is deterministic and duplicate-free for every
-        // thread count.
-        let per_shard: Vec<(Vec<(usize, usize)>, f64)> =
-            o2o_par::par_map(self.par, occupied.clone(), |s| {
-                let t_shard = Instant::now();
-                let sub = plan.extract_instance(model.instance(), s);
-                let local = if taxi_side {
-                    sub.instance.reviewer_optimal()
-                } else {
-                    sub.instance.propose()
-                };
-                let pairs: Vec<(usize, usize)> = local
-                    .pairs()
-                    .map(|(p, r)| (sub.requests[p], sub.taxis[r]))
-                    .collect();
-                (pairs, elapsed_ms(t_shard))
-            });
-        let mut seed = Vec::new();
-        let mut max_shard_ms = 0.0f64;
-        let mut sum_shard_ms = 0.0f64;
-        for (pairs, ms) in per_shard {
-            seed.extend(pairs);
-            max_shard_ms = max_shard_ms.max(ms);
-            sum_shard_ms += ms;
-        }
-
-        let t_reconcile = Instant::now();
-        let m = {
-            let _span = obs::span("shard_reconcile");
-            let mut scratch = MatchScratch::new();
-            if taxi_side {
-                model
-                    .instance()
-                    .reviewer_optimal_seeded_with(&seed, &mut scratch)
-            } else {
-                model.instance().propose_seeded_with(&seed, &mut scratch)
+        objective: Objective,
+        taxi_grid: Option<&GridIndex<usize>>,
+        state: Option<&mut IncrementalState>,
+        budget: &TimeBudget,
+    ) -> (Schedule, Option<Degraded>) {
+        if budget.exhausted() {
+            if let Some(state) = state {
+                state.clear();
             }
+            let degraded = Degraded {
+                from: objective.tier(),
+                to: DispatchTier::GreedyNearest,
+                reason: DegradeReason::DeadlineExceeded {
+                    stage: "before preference construction",
+                },
+            };
+            return (self.greedy_nearest(taxis, requests), Some(degraded));
+        }
+        // Which side proposes, decided once the model is built.
+        let taxis_propose = || match objective {
+            Objective::PassengerOptimal => (false, None),
+            Objective::TaxiOptimal if budget.exhausted() => (
+                false,
+                Some(Degraded {
+                    from: DispatchTier::NstdT,
+                    to: DispatchTier::NstdP,
+                    reason: DegradeReason::DeadlineExceeded {
+                        stage: "after preference construction",
+                    },
+                }),
+            ),
+            Objective::TaxiOptimal => (true, None),
         };
-        let stats = ShardStats {
-            regions: plan.regions(),
-            occupied: occupied.len(),
-            boundary_taxis: plan.boundary_taxi_count(),
-            boundary_requests: plan.boundary_request_count(),
-            seed_pairs: seed.len(),
-            partition_ms,
-            max_shard_ms,
-            sum_shard_ms,
-            reconcile_ms: elapsed_ms(t_reconcile),
-        };
-        Self::record_shard_counters(&stats);
-        (m, stats)
-    }
-
-    /// **Sharded NSTD-P**: [`passenger_optimal_with_grid`](Self::passenger_optimal_with_grid)
-    /// decomposed spatially per `spec`, returning the measured shard
-    /// structure alongside the schedule. Bit-identical to the global path
-    /// for every spec, thread count and parameter set (property-tested in
-    /// `tests/shard_equivalence.rs`); always uses the sparse candidate
-    /// path — sharding exists for the scales where the dense matrix is
-    /// already unaffordable.
-    #[must_use]
-    pub fn passenger_optimal_sharded(
-        &self,
-        taxis: &[Taxi],
-        requests: &[Request],
-        taxi_grid: Option<&GridIndex<usize>>,
-        spec: &ShardSpec,
-    ) -> (Schedule, ShardStats) {
-        let model = FrameModel::Sparse(self.sparse_preferences(taxis, requests, taxi_grid));
-        let (m, stats) = self.sharded_match(taxis, requests, &model, spec, false);
-        (self.to_schedule(taxis, requests, &model, &m), stats)
-    }
-
-    /// **Sharded NSTD-T**: [`taxi_optimal_with_grid`](Self::taxi_optimal_with_grid)
-    /// decomposed spatially per `spec`. See
-    /// [`passenger_optimal_sharded`](Self::passenger_optimal_sharded).
-    #[must_use]
-    pub fn taxi_optimal_sharded(
-        &self,
-        taxis: &[Taxi],
-        requests: &[Request],
-        taxi_grid: Option<&GridIndex<usize>>,
-        spec: &ShardSpec,
-    ) -> (Schedule, ShardStats) {
-        let model = FrameModel::Sparse(self.sparse_preferences(taxis, requests, taxi_grid));
-        let (m, stats) = self.sharded_match(taxis, requests, &model, spec, true);
-        (self.to_schedule(taxis, requests, &model, &m), stats)
+        match state {
+            Some(state) => {
+                let model = SparsePreferenceModel::build_incremental(
+                    &self.metric,
+                    &self.params,
+                    taxis,
+                    requests,
+                    self.par,
+                    taxi_grid,
+                    &mut state.rows,
+                );
+                state.refresh_seed();
+                let (taxi_side, degraded) = taxis_propose();
+                let (seed, matcher) = (&state.scratch.seed, &mut state.scratch.matcher);
+                let m = if taxi_side {
+                    model.instance.reviewer_optimal_seeded_with(seed, matcher)
+                } else {
+                    model.instance.propose_seeded_with(seed, matcher)
+                };
+                state.record(taxis, requests, &m);
+                let schedule = self.to_schedule(taxis, requests, &model, &m);
+                state.scratch.matcher.recycle(m);
+                (schedule, degraded)
+            }
+            None => {
+                let model = self.sparse_model(taxis, requests, taxi_grid);
+                let (taxi_side, degraded) = taxis_propose();
+                let m = if taxi_side {
+                    model.instance.reviewer_optimal()
+                } else {
+                    model.instance.propose()
+                };
+                (self.to_schedule(taxis, requests, &model, &m), degraded)
+            }
+        }
     }
 
     /// The bottom rung of the degradation ladder: each request, in
@@ -592,20 +314,8 @@ impl<M: Metric> NonSharingDispatcher<M> {
     /// recursion, so it always fits a frame. The result is **not** stable
     /// in general; it exists so an over-budget frame can still dispatch
     /// *something* rather than nothing.
-    ///
-    /// Under [`ShardMode::Sharded`] the scan is routed through
-    /// [`greedy_nearest_sharded`](Self::greedy_nearest_sharded) —
-    /// bit-identical output, near-linear cost.
     #[must_use]
     pub fn greedy_nearest(&self, taxis: &[Taxi], requests: &[Request]) -> Schedule {
-        if let ShardMode::Sharded(spec) = self.shard {
-            return self.greedy_nearest_sharded(taxis, requests, &spec).0;
-        }
-        self.greedy_nearest_dense(taxis, requests)
-    }
-
-    /// The unsharded full scan behind [`greedy_nearest`](Self::greedy_nearest).
-    fn greedy_nearest_dense(&self, taxis: &[Taxi], requests: &[Request]) -> Schedule {
         let request_ids: Vec<RequestId> = requests.iter().map(|r| r.id).collect();
         let taxi_ids: Vec<TaxiId> = taxis.iter().map(|t| t.id).collect();
         let mut taken = vec![false; taxis.len()];
@@ -653,256 +363,6 @@ impl<M: Metric> NonSharingDispatcher<M> {
         )
     }
 
-    /// [`greedy_nearest`](Self::greedy_nearest) with each request's scan
-    /// restricted to its region's *padded* taxi set — every taxi within
-    /// the frame's interaction radius of the region rectangle — instead
-    /// of all `|T|` taxis.
-    ///
-    /// Bit-identical to the dense scan: requests are still processed
-    /// sequentially in arrival order against the shared free-taxi set;
-    /// the padded set provably contains every taxi the thresholds could
-    /// accept (the same Euclidean-lower-bounds-the-metric assumption the
-    /// sparse candidate path makes); the acceptability filters are
-    /// re-applied on exact metric distances; and each set is scanned in
-    /// ascending taxi index, preserving the dense tie-break (nearest,
-    /// then lowest index). The scan cost drops from `O(|R|·|T|)` to
-    /// near-linear at paper-scale thresholds.
-    ///
-    /// In the returned [`ShardStats`] the sequential scan time is
-    /// reported as both `max_shard_ms` and `sum_shard_ms` (the scan is
-    /// one sequential stage), and `seed_pairs`/`reconcile_ms` are zero —
-    /// greedy has no reconciliation pass.
-    #[must_use]
-    pub fn greedy_nearest_sharded(
-        &self,
-        taxis: &[Taxi],
-        requests: &[Request],
-        spec: &ShardSpec,
-    ) -> (Schedule, ShardStats) {
-        let t_partition = Instant::now();
-        let (plan, trips) = {
-            let _span = obs::span("shard_partition");
-            let trips = self.trip_distances(requests);
-            let plan = ShardPlan::build(spec, &self.params, taxis, requests, &trips);
-            (plan, trips)
-        };
-        let sets = plan.padded_taxi_sets(taxis);
-        let partition_ms = elapsed_ms(t_partition);
-
-        let t_scan = Instant::now();
-        let request_ids: Vec<RequestId> = requests.iter().map(|r| r.id).collect();
-        let taxi_ids: Vec<TaxiId> = taxis.iter().map(|t| t.id).collect();
-        let mut taken = vec![false; taxis.len()];
-        let mut request_to_taxi: Vec<Option<usize>> = vec![None; requests.len()];
-        let mut passenger_cost: Vec<Option<f64>> = vec![None; requests.len()];
-        let mut taxi_cost: Vec<Option<f64>> = vec![None; taxis.len()];
-        for (j, r) in requests.iter().enumerate() {
-            let trip = trips[j];
-            let mut best: Option<(f64, usize, f64)> = None;
-            for &i in &sets[plan.request_region(j)] {
-                let t = &taxis[i];
-                if taken[i] || t.seats < r.passengers {
-                    continue;
-                }
-                let d = self.metric.distance(t.location, r.pickup);
-                if d > self.params.passenger_threshold {
-                    continue;
-                }
-                let score = d - self.params.alpha * trip;
-                if score > self.params.taxi_threshold {
-                    continue;
-                }
-                let better = match best {
-                    None => true,
-                    // Ascending taxi index within the set, so strict `<`
-                    // reproduces the dense scan's lowest-index tie-break.
-                    Some((bd, _, _)) => d < bd,
-                };
-                if better {
-                    best = Some((d, i, score));
-                }
-            }
-            if let Some((d, i, score)) = best {
-                taken[i] = true;
-                request_to_taxi[j] = Some(i);
-                passenger_cost[j] = Some(d);
-                taxi_cost[i] = Some(score);
-            }
-        }
-        let scan_ms = elapsed_ms(t_scan);
-        let stats = ShardStats {
-            regions: plan.regions(),
-            occupied: plan.occupied_regions().len(),
-            boundary_taxis: plan.boundary_taxi_count(),
-            boundary_requests: plan.boundary_request_count(),
-            seed_pairs: 0,
-            partition_ms,
-            max_shard_ms: scan_ms,
-            sum_shard_ms: scan_ms,
-            reconcile_ms: 0.0,
-        };
-        Self::record_shard_counters(&stats);
-        let schedule = Schedule::from_parts(
-            request_ids,
-            taxi_ids,
-            request_to_taxi,
-            passenger_cost,
-            taxi_cost,
-        );
-        (schedule, stats)
-    }
-
-    /// [`passenger_optimal`](Self::passenger_optimal) under a per-frame
-    /// [`TimeBudget`]: NSTD-P when the budget allows, greedy-nearest
-    /// (with an explicit [`Degraded`] marker) when the deadline has
-    /// already passed at entry — preference construction is the dominant
-    /// cost, so it is the one thing an exhausted frame must not start.
-    ///
-    /// `state` selects the warm incremental path (as in
-    /// [`passenger_optimal_incremental`](Self::passenger_optimal_incremental));
-    /// on a greedy fallback the carried state is cleared, because the
-    /// greedy schedule is not a stable matching and must not seed the
-    /// next frame. With an unlimited budget the result is bit-identical
-    /// to the corresponding unbudgeted call.
-    #[must_use]
-    pub fn passenger_optimal_budgeted(
-        &self,
-        taxis: &[Taxi],
-        requests: &[Request],
-        pickup_distances: Option<&PickupDistances>,
-        taxi_grid: Option<&GridIndex<usize>>,
-        state: Option<&mut crate::IncrementalState>,
-        budget: &TimeBudget,
-    ) -> (Schedule, Option<Degraded>) {
-        if budget.exhausted() {
-            if let Some(state) = state {
-                state.clear();
-            }
-            let degraded = Degraded {
-                from: DispatchTier::NstdP,
-                to: DispatchTier::GreedyNearest,
-                reason: DegradeReason::DeadlineExceeded {
-                    stage: "before preference construction",
-                },
-            };
-            return (self.greedy_nearest(taxis, requests), Some(degraded));
-        }
-        let schedule = match state {
-            Some(state) => {
-                let model = self.frame_model_incremental(taxis, requests, taxi_grid, state);
-                state.refresh_seed(taxis, requests);
-                let m = model
-                    .instance()
-                    .propose_seeded_with(&state.scratch.seed, &mut state.scratch.matcher);
-                state.record(taxis, requests, &m);
-                let schedule = self.to_schedule(taxis, requests, &model, &m);
-                state.scratch.matcher.recycle(m);
-                schedule
-            }
-            None => {
-                let model = self.frame_model(taxis, requests, pickup_distances, taxi_grid);
-                let m = match (self.shard, &model) {
-                    (ShardMode::Sharded(spec), FrameModel::Sparse(_)) => {
-                        self.sharded_match(taxis, requests, &model, &spec, false).0
-                    }
-                    _ => model.instance().propose(),
-                };
-                self.to_schedule(taxis, requests, &model, &m)
-            }
-        };
-        (schedule, None)
-    }
-
-    /// [`taxi_optimal`](Self::taxi_optimal) under a per-frame
-    /// [`TimeBudget`] — the full ladder. Deadline already passed at
-    /// entry: greedy-nearest (carried state cleared). Deadline passed
-    /// after preference construction: NSTD-P on the just-built model —
-    /// the passenger-optimal matching is one deferred-acceptance pass,
-    /// the cheapest stable answer the model affords. Otherwise: NSTD-T.
-    /// Each step down is reported as a [`Degraded`] marker; with an
-    /// unlimited budget the result is bit-identical to the corresponding
-    /// unbudgeted call.
-    #[must_use]
-    pub fn taxi_optimal_budgeted(
-        &self,
-        taxis: &[Taxi],
-        requests: &[Request],
-        pickup_distances: Option<&PickupDistances>,
-        taxi_grid: Option<&GridIndex<usize>>,
-        state: Option<&mut crate::IncrementalState>,
-        budget: &TimeBudget,
-    ) -> (Schedule, Option<Degraded>) {
-        if budget.exhausted() {
-            if let Some(state) = state {
-                state.clear();
-            }
-            let degraded = Degraded {
-                from: DispatchTier::NstdT,
-                to: DispatchTier::GreedyNearest,
-                reason: DegradeReason::DeadlineExceeded {
-                    stage: "before preference construction",
-                },
-            };
-            return (self.greedy_nearest(taxis, requests), Some(degraded));
-        }
-        match state {
-            Some(state) => {
-                let model = self.frame_model_incremental(taxis, requests, taxi_grid, state);
-                state.refresh_seed(taxis, requests);
-                if budget.exhausted() {
-                    let m = model
-                        .instance()
-                        .propose_seeded_with(&state.scratch.seed, &mut state.scratch.matcher);
-                    state.record(taxis, requests, &m);
-                    let degraded = Degraded {
-                        from: DispatchTier::NstdT,
-                        to: DispatchTier::NstdP,
-                        reason: DegradeReason::DeadlineExceeded {
-                            stage: "after preference construction",
-                        },
-                    };
-                    let schedule = self.to_schedule(taxis, requests, &model, &m);
-                    state.scratch.matcher.recycle(m);
-                    (schedule, Some(degraded))
-                } else {
-                    let m = model.instance().reviewer_optimal_seeded_with(
-                        &state.scratch.seed,
-                        &mut state.scratch.matcher,
-                    );
-                    state.record(taxis, requests, &m);
-                    let schedule = self.to_schedule(taxis, requests, &model, &m);
-                    state.scratch.matcher.recycle(m);
-                    (schedule, None)
-                }
-            }
-            None => {
-                let model = self.frame_model(taxis, requests, pickup_distances, taxi_grid);
-                if budget.exhausted() {
-                    let m = model.instance().propose();
-                    let degraded = Degraded {
-                        from: DispatchTier::NstdT,
-                        to: DispatchTier::NstdP,
-                        reason: DegradeReason::DeadlineExceeded {
-                            stage: "after preference construction",
-                        },
-                    };
-                    (
-                        self.to_schedule(taxis, requests, &model, &m),
-                        Some(degraded),
-                    )
-                } else {
-                    let m = match (self.shard, &model) {
-                        (ShardMode::Sharded(spec), FrameModel::Sparse(_)) => {
-                            self.sharded_match(taxis, requests, &model, &spec, true).0
-                        }
-                        _ => model.instance().reviewer_optimal(),
-                    };
-                    (self.to_schedule(taxis, requests, &model, &m), None)
-                }
-            }
-        }
-    }
-
     /// **Anytime NSTD-T**: the taxi-optimal search as a budgeted
     /// best-so-far walk of the BreakDispatch lattice, instead of the
     /// all-or-nothing role-swapped pass.
@@ -914,9 +374,9 @@ impl<M: Metric> NonSharingDispatcher<M> {
     /// Every answer — at any budget, including a zero one — is a *stable*
     /// schedule at least as good for every taxi as NSTD-P; with an
     /// unlimited budget the result is bit-identical to
-    /// [`taxi_optimal_with_grid`](Self::taxi_optimal_with_grid). The
-    /// returned [`AnytimeOutcome`] carries the measured optimality gap
-    /// for the budget actually spent.
+    /// [`taxi_optimal`](Self::taxi_optimal). The returned
+    /// [`AnytimeOutcome`] carries the measured optimality gap for the
+    /// budget actually spent.
     #[must_use]
     pub fn taxi_optimal_anytime(
         &self,
@@ -925,8 +385,8 @@ impl<M: Metric> NonSharingDispatcher<M> {
         taxi_grid: Option<&GridIndex<usize>>,
         budget: &TimeBudget,
     ) -> (Schedule, AnytimeOutcome) {
-        let model = self.frame_model(taxis, requests, None, taxi_grid);
-        let search = model.instance().reviewer_optimal_anytime(budget);
+        let model = self.sparse_model(taxis, requests, taxi_grid);
+        let search = model.instance.reviewer_optimal_anytime(budget);
         let schedule = self.to_schedule(taxis, requests, &model, &search.best);
         let outcome = AnytimeOutcome {
             taxi_cost: search.reviewer_cost,
@@ -957,9 +417,9 @@ impl<M: Metric> NonSharingDispatcher<M> {
         requests: &[Request],
         limit: Option<usize>,
     ) -> Vec<Schedule> {
-        let model = self.frame_model(taxis, requests, None, None);
+        let model = self.sparse_model(taxis, requests, None);
         model
-            .instance()
+            .instance
             .enumerate_all(limit)
             .iter()
             .map(|m| self.to_schedule(taxis, requests, &model, m))
@@ -980,8 +440,8 @@ impl<M: Metric> NonSharingDispatcher<M> {
         limit: Option<usize>,
         budget: &TimeBudget,
     ) -> (Vec<Schedule>, Option<Degraded>) {
-        let model = self.frame_model(taxis, requests, None, None);
-        let e = model.instance().enumerate_budgeted(limit, budget);
+        let model = self.sparse_model(taxis, requests, None);
+        let e = model.instance.enumerate_budgeted(limit, budget);
         let schedules = e
             .matchings
             .iter()
@@ -1066,12 +526,11 @@ impl<M: Metric> NonSharingDispatcher<M> {
     /// An extension beyond the paper (its §II cites the fairness-variant
     /// literature); useful when the company wants neither side to dominate.
     ///
-    /// Always evaluated on the **dense** preference lists regardless of
-    /// [`CandidateMode`]: the rank sums being minimised count *every*
-    /// above-dummy entry, including partners the other side rejects, so
-    /// the sparse lists (which drop those no-op entries) would tie-break
-    /// differently. Keeping this on the dense path preserves the
-    /// historical definition.
+    /// Evaluated on the **dense** preference lists: the rank sums being
+    /// minimised count *every* above-dummy entry, including partners the
+    /// other side rejects, so the sparse lists (which drop those no-op
+    /// entries) would tie-break differently. Keeping this on the dense
+    /// model preserves the historical definition.
     #[must_use]
     pub fn egalitarian(
         &self,
@@ -1085,8 +544,7 @@ impl<M: Metric> NonSharingDispatcher<M> {
             .instance
             .egalitarian(&all)
             .expect("enumeration yields at least one matching");
-        let model = FrameModel::Dense(model);
-        self.to_schedule(taxis, requests, &model, best)
+        model.to_schedule(taxis, requests, best)
     }
 
     /// The **median** stable schedule (Teo–Sethuraman): every request gets
@@ -1095,10 +553,10 @@ impl<M: Metric> NonSharingDispatcher<M> {
     /// cites Sethuraman's median stable matchings \[13\]).
     #[must_use]
     pub fn median(&self, taxis: &[Taxi], requests: &[Request], limit: Option<usize>) -> Schedule {
-        let model = self.frame_model(taxis, requests, None, None);
-        let all = model.instance().enumerate_all(limit);
+        let model = self.sparse_model(taxis, requests, None);
+        let all = model.instance.enumerate_all(limit);
         let median = model
-            .instance()
+            .instance
             .median_stable_matching(&all)
             .expect("enumeration yields at least one matching");
         self.to_schedule(taxis, requests, &model, &median)
@@ -1122,31 +580,29 @@ impl<M: Metric> NonSharingDispatcher<M> {
         model.instance.is_stable(&m)
     }
 
+    /// The schedule of a matching on the frame's sparse model.
     fn to_schedule(
         &self,
         taxis: &[Taxi],
         requests: &[Request],
-        model: &FrameModel,
+        model: &SparsePreferenceModel,
         m: &Matching,
     ) -> Schedule {
-        let request_ids = requests.iter().map(|r| r.id).collect();
-        let taxi_ids = taxis.iter().map(|t| t.id).collect();
-        let request_to_taxi: Vec<Option<usize>> =
-            (0..requests.len()).map(|j| m.proposer_partner(j)).collect();
-        let passenger_cost = request_to_taxi
-            .iter()
-            .enumerate()
-            .map(|(j, ti)| ti.map(|i| model.pickup(j, i)))
-            .collect();
-        let taxi_cost = (0..taxis.len())
-            .map(|i| m.reviewer_partner(i).map(|j| model.score(i, j)))
-            .collect();
-        Schedule::from_parts(
-            request_ids,
-            taxi_ids,
-            request_to_taxi,
-            passenger_cost,
-            taxi_cost,
+        // A matched pair is mutually acceptable, hence on the sparse lists.
+        Schedule::from_matching(
+            taxis,
+            requests,
+            m,
+            |j, i| {
+                model
+                    .pickup(j, i)
+                    .expect("matched pair is mutually acceptable")
+            },
+            |i, j| {
+                model
+                    .score(i, j)
+                    .expect("matched pair is mutually acceptable")
+            },
         )
     }
 }
@@ -1413,21 +869,44 @@ mod tests {
         assert_eq!(d.greedy_nearest(&taxis, &requests).served_count(), 0);
     }
 
+    const OBJECTIVES: [Objective; 2] = [Objective::PassengerOptimal, Objective::TaxiOptimal];
+
+    /// The dense reference schedule for `objective`.
+    fn oracle(
+        d: &NonSharingDispatcher<Euclidean>,
+        taxis: &[Taxi],
+        requests: &[Request],
+        objective: Objective,
+    ) -> Schedule {
+        let model = d.preferences(taxis, requests);
+        let m = match objective {
+            Objective::PassengerOptimal => model.instance.propose(),
+            Objective::TaxiOptimal => model.instance.reviewer_optimal(),
+        };
+        model.to_schedule(taxis, requests, &m)
+    }
+
     #[test]
     fn unlimited_budget_is_bit_identical_to_unbudgeted() {
         let mut rng = StdRng::seed_from_u64(0xB1D6);
         let unlimited = o2o_matching::TimeBudget::unlimited();
+        let params = PreferenceParams::paper().with_passenger_threshold(8.0);
+        let d = NonSharingDispatcher::new(Euclidean, params);
+        // One warm state per objective, carried across every frame (the
+        // random frames reuse ids, so the carry sees churn).
+        let mut warm = [
+            crate::IncrementalState::new(),
+            crate::IncrementalState::new(),
+        ];
         for _ in 0..40 {
             let (taxis, requests) = random_frame(&mut rng, 4, 5);
-            let params = PreferenceParams::paper().with_passenger_threshold(8.0);
-            let d = NonSharingDispatcher::new(Euclidean, params);
-            let (p, dp) =
-                d.passenger_optimal_budgeted(&taxis, &requests, None, None, None, &unlimited);
-            assert_eq!(dp, None);
-            assert_eq!(p, d.passenger_optimal(&taxis, &requests));
-            let (t, dt) = d.taxi_optimal_budgeted(&taxis, &requests, None, None, None, &unlimited);
-            assert_eq!(dt, None);
-            assert_eq!(t, d.taxi_optimal(&taxis, &requests));
+            for (objective, state) in OBJECTIVES.into_iter().zip(&mut warm) {
+                let expected = oracle(&d, &taxis, &requests, objective);
+                let cold = d.dispatch(&taxis, &requests, objective, None, None, &unlimited);
+                assert_eq!(cold, (expected.clone(), None), "{objective:?} cold");
+                let warm = d.dispatch(&taxis, &requests, objective, None, Some(state), &unlimited);
+                assert_eq!(warm, (expected, None), "{objective:?} warm");
+            }
             let (all, da) = d.all_schedules_budgeted(&taxis, &requests, None, &unlimited);
             assert_eq!(da, None);
             assert_eq!(all, d.all_schedules(&taxis, &requests, None));
@@ -1436,27 +915,47 @@ mod tests {
 
     #[test]
     fn expired_deadline_degrades_to_greedy_and_clears_warm_state() {
-        use o2o_matching::TimeBudgetSpec;
+        use o2o_matching::{TimeBudget, TimeBudgetSpec};
         let mut rng = StdRng::seed_from_u64(0xDE6);
         let (taxis, requests) = random_frame(&mut rng, 4, 5);
         let d = NonSharingDispatcher::new(Euclidean, PreferenceParams::unbounded());
         let expired = TimeBudgetSpec::unlimited()
             .with_deadline(std::time::Duration::ZERO)
             .start();
-        // Warm up a state, then hit it with an expired budget.
-        let mut state = crate::IncrementalState::new();
-        let _ = d.passenger_optimal_incremental(&taxis, &requests, None, &mut state);
-        assert!(!state.carried_pairs().is_empty());
-        let (s, degraded) =
-            d.passenger_optimal_budgeted(&taxis, &requests, None, None, Some(&mut state), &expired);
-        assert_eq!(s, d.greedy_nearest(&taxis, &requests));
-        let degraded = degraded.expect("expired budget must degrade");
-        assert_eq!(degraded.from, DispatchTier::NstdP);
-        assert_eq!(degraded.to, DispatchTier::GreedyNearest);
-        assert!(state.carried_pairs().is_empty(), "greedy must clear state");
-        let (s, degraded) = d.taxi_optimal_budgeted(&taxis, &requests, None, None, None, &expired);
-        assert_eq!(s, d.greedy_nearest(&taxis, &requests));
-        assert_eq!(degraded.unwrap().from, DispatchTier::NstdT);
+        let greedy = d.greedy_nearest(&taxis, &requests);
+        for objective in OBJECTIVES {
+            let check = |degraded: Option<Degraded>| {
+                let degraded = degraded.expect("expired budget must degrade");
+                assert_eq!(degraded.from, objective.tier());
+                assert_eq!(degraded.to, DispatchTier::GreedyNearest);
+            };
+            let (s, degraded) = d.dispatch(&taxis, &requests, objective, None, None, &expired);
+            assert_eq!(s, greedy, "{objective:?} cold");
+            check(degraded);
+            // Warm up a state, then hit it with an expired budget.
+            let mut state = crate::IncrementalState::new();
+            let unlimited = TimeBudget::unlimited();
+            let _ = d.dispatch(
+                &taxis,
+                &requests,
+                objective,
+                None,
+                Some(&mut state),
+                &unlimited,
+            );
+            assert!(!state.carried_pairs().is_empty());
+            let (s, degraded) = d.dispatch(
+                &taxis,
+                &requests,
+                objective,
+                None,
+                Some(&mut state),
+                &expired,
+            );
+            assert_eq!(s, greedy, "{objective:?} warm");
+            check(degraded);
+            assert!(state.carried_pairs().is_empty(), "greedy must clear state");
+        }
     }
 
     #[test]

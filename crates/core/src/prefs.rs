@@ -13,9 +13,9 @@
 //! The result is a [`StableInstance`] (requests propose, taxis review) plus
 //! the raw cost matrices needed to report dissatisfaction afterwards.
 
-use crate::PreferenceParams;
+use crate::{PreferenceParams, Schedule};
 use o2o_geo::{heuristic_cell_size, BBox, BitsHasher, Disk, GridIndex, Metric, Point};
-use o2o_matching::{KeyedRows, StableInstance};
+use o2o_matching::{KeyedRows, Matching, StableInstance};
 use o2o_obs as obs;
 use o2o_par::{par_map, par_map_ranges, try_par_map, Parallelism, WorkerPanic};
 use o2o_trace::{Request, RequestId, Taxi, TaxiId};
@@ -284,6 +284,21 @@ impl PreferenceModel {
             score: score_t,
         }
     }
+
+    /// The [`Schedule`] of matching `m` on this frame, with each matched
+    /// pair's costs read from the dense matrices — how a matching computed
+    /// on [`PreferenceModel::instance`] (the dense reference the sparse
+    /// dispatch path is tested against) becomes a schedule.
+    #[must_use]
+    pub fn to_schedule(&self, taxis: &[Taxi], requests: &[Request], m: &Matching) -> Schedule {
+        Schedule::from_matching(
+            taxis,
+            requests,
+            m,
+            |j, i| self.pickup[j][i],
+            |i, j| self.score[i][j],
+        )
+    }
 }
 
 /// The inclusive Euclidean candidate radius around a request's pick-up:
@@ -294,9 +309,8 @@ impl PreferenceModel {
 /// slack so the float rounding of `d − α·trip` can never exclude a taxi
 /// the dense filter would admit (see [`SparsePreferenceModel`]). This is
 /// the **single source of truth** for that radius — the sparse candidate
-/// builder, the incremental row patcher and the shard partitioner must all
-/// agree on it bit-for-bit, or an entity could be classified interior to a
-/// shard while the candidate builder still reaches across the border.
+/// builder and the incremental row patcher must agree on it bit-for-bit,
+/// or a carried row could miss a taxi a fresh row would admit.
 ///
 /// Returns a negative value or `NaN` only when the thresholds themselves
 /// are (callers treat that as "no candidates"); `+∞` means unbounded.
@@ -734,6 +748,19 @@ impl CandidateCarry {
         self.trips = trips;
         std::mem::swap(&mut self.taxi_at, &mut self.next_taxi_at);
         std::mem::swap(&mut self.request_at, &mut self.next_request_at);
+    }
+
+    /// The carried frame's index of taxi `id` (the last one, for
+    /// duplicate ids). After [`SparsePreferenceModel::build_incremental`]
+    /// the carried frame is the one just built.
+    pub(crate) fn taxi_index(&self, id: TaxiId) -> Option<usize> {
+        self.taxi_at.get(&id).copied()
+    }
+
+    /// The carried frame's index of request `id` (the last one, for
+    /// duplicate ids); see [`CandidateCarry::taxi_index`].
+    pub(crate) fn request_index(&self, id: RequestId) -> Option<usize> {
+        self.request_at.get(&id).copied()
     }
 }
 

@@ -1,6 +1,7 @@
 //! Non-sharing dispatch schedules — the paper's `S`.
 
-use o2o_trace::{RequestId, TaxiId};
+use o2o_matching::Matching;
+use o2o_trace::{Request, RequestId, Taxi, TaxiId};
 use std::collections::HashMap;
 
 /// What a schedule decided for one request.
@@ -106,6 +107,35 @@ impl Schedule {
             request_index,
             taxi_index,
         }
+    }
+
+    /// The schedule of matching `m` (requests propose, taxis review) on
+    /// one frame, with each matched pair's costs read through
+    /// `pickup(request, taxi)` and `score(taxi, request)`.
+    pub(crate) fn from_matching(
+        taxis: &[Taxi],
+        requests: &[Request],
+        m: &Matching,
+        pickup: impl Fn(usize, usize) -> f64,
+        score: impl Fn(usize, usize) -> f64,
+    ) -> Self {
+        let request_to_taxi: Vec<Option<usize>> =
+            (0..requests.len()).map(|j| m.proposer_partner(j)).collect();
+        let passenger_cost = request_to_taxi
+            .iter()
+            .enumerate()
+            .map(|(j, ti)| ti.map(|i| pickup(j, i)))
+            .collect();
+        let taxi_cost = (0..taxis.len())
+            .map(|i| m.reviewer_partner(i).map(|j| score(i, j)))
+            .collect();
+        Schedule::from_parts(
+            requests.iter().map(|r| r.id).collect(),
+            taxis.iter().map(|t| t.id).collect(),
+            request_to_taxi,
+            passenger_cost,
+            taxi_cost,
+        )
     }
 
     /// The outcome for request `r`.

@@ -109,8 +109,14 @@ proptest! {
             prop_assert_eq!(&par.taxi_optimal(&taxis, &requests), &t0);
         }
         let pd = PickupDistances::compute(&Euclidean, &taxis, &requests, Parallelism::fixed(4));
-        prop_assert_eq!(&seq.passenger_optimal_with(&taxis, &requests, Some(&pd)), &p0);
-        prop_assert_eq!(&seq.taxi_optimal_with(&taxis, &requests, Some(&pd)), &t0);
+        // The dense model over a precomputed pick-up matrix agrees too.
+        let dense = PreferenceModel::build_with(
+            &Euclidean, &params, &taxis, &requests, Parallelism::fixed(4), Some(&pd),
+        );
+        let p_dense = dense.to_schedule(&taxis, &requests, &dense.instance.propose());
+        let t_dense = dense.to_schedule(&taxis, &requests, &dense.instance.reviewer_optimal());
+        prop_assert_eq!(&p_dense, &p0);
+        prop_assert_eq!(&t_dense, &t0);
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //! threshold setting.
 
 use o2o_core::{
-    build_taxi_grid, candidate_radius, CandidateMode, NonSharingDispatcher, PreferenceParams,
-    SparsePreferenceModel,
+    build_taxi_grid, candidate_radius, IncrementalState, NonSharingDispatcher, Objective,
+    PreferenceModel, PreferenceParams, Schedule, SparsePreferenceModel, TimeBudget,
 };
 use o2o_geo::{Euclidean, Point};
 use o2o_par::Parallelism;
@@ -67,28 +67,58 @@ fn param_grid() -> Vec<PreferenceParams> {
 
 const THREAD_COUNTS: [usize; 3] = [2, 4, 7];
 
+/// The dense oracle of one frame: `(NSTD-P, NSTD-T)` from deferred
+/// acceptance on [`NonSharingDispatcher::preferences`].
+fn dense_pt(
+    d: &NonSharingDispatcher<Euclidean>,
+    taxis: &[Taxi],
+    requests: &[Request],
+) -> (Schedule, Schedule) {
+    let model = d.preferences(taxis, requests);
+    (
+        model.to_schedule(taxis, requests, &model.instance.propose()),
+        model.to_schedule(taxis, requests, &model.instance.reviewer_optimal()),
+    )
+}
+
+/// Every stable schedule and the median one, enumerated on the dense
+/// model (at most `limit` matchings).
+fn dense_stable_set(
+    model: &PreferenceModel,
+    taxis: &[Taxi],
+    requests: &[Request],
+    limit: Option<usize>,
+) -> (Vec<Schedule>, Schedule) {
+    let all = model.instance.enumerate_all(limit);
+    let median = model
+        .instance
+        .median_stable_matching(&all)
+        .expect("at least one stable matching");
+    (
+        all.iter()
+            .map(|m| model.to_schedule(taxis, requests, m))
+            .collect(),
+        model.to_schedule(taxis, requests, &median),
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// NSTD-P and NSTD-T produce bit-identical schedules under
-    /// `CandidateMode::Sparse`, across thresholds and thread counts.
+    /// NSTD-P and NSTD-T on the sparse model are bit-identical to the
+    /// dense oracle, across thresholds and thread counts.
     #[test]
     fn sparse_dispatch_matches_dense(
         seed in any::<u64>(), nt in 1usize..14, nr in 1usize..16,
     ) {
         let (taxis, requests) = random_frame(seed, nt, nr, 8.0);
         for params in param_grid() {
-            let dense = NonSharingDispatcher::new(Euclidean, params)
-                .with_candidate_mode(CandidateMode::Dense);
-            let p0 = dense.passenger_optimal(&taxis, &requests);
-            let t0 = dense.taxi_optimal(&taxis, &requests);
-            let sparse_seq = NonSharingDispatcher::new(Euclidean, params)
-                .with_candidate_mode(CandidateMode::Sparse);
+            let sparse_seq = NonSharingDispatcher::new(Euclidean, params);
+            let (p0, t0) = dense_pt(&sparse_seq, &taxis, &requests);
             prop_assert_eq!(&sparse_seq.passenger_optimal(&taxis, &requests), &p0);
             prop_assert_eq!(&sparse_seq.taxi_optimal(&taxis, &requests), &t0);
             for threads in THREAD_COUNTS {
                 let sparse = NonSharingDispatcher::new(Euclidean, params)
-                    .with_candidate_mode(CandidateMode::Sparse)
                     .with_parallelism(Parallelism::fixed(threads));
                 prop_assert_eq!(&sparse.passenger_optimal(&taxis, &requests), &p0);
                 prop_assert_eq!(&sparse.taxi_optimal(&taxis, &requests), &t0);
@@ -109,10 +139,14 @@ proptest! {
             let d = NonSharingDispatcher::new(Euclidean, params);
             let p0 = d.passenger_optimal(&taxis, &requests);
             let t0 = d.taxi_optimal(&taxis, &requests);
-            prop_assert_eq!(
-                &d.passenger_optimal_with_grid(&taxis, &requests, Some(&grid)), &p0
-            );
-            prop_assert_eq!(&d.taxi_optimal_with_grid(&taxis, &requests, Some(&grid)), &t0);
+            let unlimited = TimeBudget::unlimited();
+            for (objective, expected) in
+                [(Objective::PassengerOptimal, &p0), (Objective::TaxiOptimal, &t0)]
+            {
+                let (s, _) =
+                    d.dispatch(&taxis, &requests, objective, Some(&grid), None, &unlimited);
+                prop_assert_eq!(&s, expected);
+            }
         }
     }
 
@@ -124,18 +158,11 @@ proptest! {
     ) {
         let (taxis, requests) = random_frame(seed, nt, nr, 6.0);
         for params in param_grid() {
-            let dense = NonSharingDispatcher::new(Euclidean, params)
-                .with_candidate_mode(CandidateMode::Dense);
-            let sparse = NonSharingDispatcher::new(Euclidean, params)
-                .with_candidate_mode(CandidateMode::Sparse);
-            prop_assert_eq!(
-                &sparse.all_schedules(&taxis, &requests, None),
-                &dense.all_schedules(&taxis, &requests, None)
-            );
-            prop_assert_eq!(
-                &sparse.median(&taxis, &requests, None),
-                &dense.median(&taxis, &requests, None)
-            );
+            let sparse = NonSharingDispatcher::new(Euclidean, params);
+            let dense = sparse.preferences(&taxis, &requests);
+            let (all, median) = dense_stable_set(&dense, &taxis, &requests, None);
+            prop_assert_eq!(&sparse.all_schedules(&taxis, &requests, None), &all);
+            prop_assert_eq!(&sparse.median(&taxis, &requests, None), &median);
         }
     }
 
@@ -187,20 +214,11 @@ proptest! {
 fn sparse_matches_dense_at_paper_thresholds_wide_city() {
     let (taxis, requests) = random_frame(2017, 60, 80, 40.0);
     let params = PreferenceParams::paper();
-    let dense = NonSharingDispatcher::new(Euclidean, params)
-        .with_candidate_mode(CandidateMode::Dense)
-        .with_parallelism(Parallelism::fixed(4));
-    let sparse = NonSharingDispatcher::new(Euclidean, params)
-        .with_candidate_mode(CandidateMode::Sparse)
-        .with_parallelism(Parallelism::fixed(4));
-    assert_eq!(
-        sparse.passenger_optimal(&taxis, &requests),
-        dense.passenger_optimal(&taxis, &requests)
-    );
-    assert_eq!(
-        sparse.taxi_optimal(&taxis, &requests),
-        dense.taxi_optimal(&taxis, &requests)
-    );
+    let sparse =
+        NonSharingDispatcher::new(Euclidean, params).with_parallelism(Parallelism::fixed(4));
+    let (p0, t0) = dense_pt(&sparse, &taxis, &requests);
+    assert_eq!(sparse.passenger_optimal(&taxis, &requests), p0);
+    assert_eq!(sparse.taxi_optimal(&taxis, &requests), t0);
     // The sweep is only meaningful if the grid prefilter actually pruned
     // (the θ filters alone would drop pairs at these thresholds too).
     let grid = build_taxi_grid(&taxis);
@@ -271,11 +289,10 @@ fn lattice_params() -> Vec<PreferenceParams> {
 
 /// Keyed sparse ≡ dense oracle on tie-heavy frames, for every algorithm
 /// that reads the preference model: passenger-optimal (cold and seeded),
-/// taxi-optimal, the budgeted ladder (cold and warm), the egalitarian and
-/// median compromises, and the sharded pipeline — at 1 and 4 threads.
+/// taxi-optimal, `dispatch` with an unlimited budget (cold and warm), and
+/// the egalitarian and median compromises — at 1 and 4 threads.
 #[test]
 fn keyed_sparse_matches_dense_oracle_on_tie_heavy_frames() {
-    use o2o_core::{IncrementalState, ShardMode, ShardSpec, TimeBudget};
     let unlimited = TimeBudget::unlimited();
     for seed in 0..24u64 {
         let (taxis, requests) = lattice_frame(
@@ -285,21 +302,27 @@ fn keyed_sparse_matches_dense_oracle_on_tie_heavy_frames() {
         );
         let grid = build_taxi_grid(&taxis);
         for params in lattice_params() {
-            let dense = NonSharingDispatcher::new(Euclidean, params)
-                .with_candidate_mode(CandidateMode::Dense);
-            let p0 = dense.passenger_optimal(&taxis, &requests);
-            let t0 = dense.taxi_optimal(&taxis, &requests);
-            let oracle = dense.preferences(&taxis, &requests);
+            let oracle =
+                NonSharingDispatcher::new(Euclidean, params).preferences(&taxis, &requests);
             let (p_opt, t_opt) = (
                 oracle.instance.propose(),
                 oracle.instance.reviewer_optimal(),
             );
+            let p0 = oracle.to_schedule(&taxis, &requests, &p_opt);
+            let t0 = oracle.to_schedule(&taxis, &requests, &t_opt);
+            let egalitarian = {
+                let all = oracle.instance.enumerate_all(Some(64));
+                let best = oracle
+                    .instance
+                    .egalitarian(&all)
+                    .expect("a stable matching");
+                oracle.to_schedule(&taxis, &requests, best)
+            };
+            let (_, median) = dense_stable_set(&oracle, &taxis, &requests, Some(64));
             for threads in [1, 4] {
                 let ctx = format!("seed {seed} threads {threads} params {params:?}");
                 let par = Parallelism::fixed(threads);
-                let sparse = NonSharingDispatcher::new(Euclidean, params)
-                    .with_candidate_mode(CandidateMode::Sparse)
-                    .with_parallelism(par);
+                let sparse = NonSharingDispatcher::new(Euclidean, params).with_parallelism(par);
                 assert_eq!(sparse.passenger_optimal(&taxis, &requests), p0, "{ctx}");
                 assert_eq!(sparse.taxi_optimal(&taxis, &requests), t0, "{ctx}");
 
@@ -329,76 +352,43 @@ fn keyed_sparse_matches_dense_oracle_on_tie_heavy_frames() {
                     );
                 }
 
-                // The budgeted ladder with an unlimited budget, cold and
-                // warm (twice, so the second call runs on a carry).
-                let (s, d) = sparse.passenger_optimal_budgeted(
-                    &taxis,
-                    &requests,
-                    None,
-                    Some(&grid),
-                    None,
-                    &unlimited,
-                );
-                assert!(d.is_none());
-                assert_eq!(s, p0, "{ctx}");
-                let (s, d) = sparse.taxi_optimal_budgeted(
-                    &taxis,
-                    &requests,
-                    None,
-                    Some(&grid),
-                    None,
-                    &unlimited,
-                );
-                assert!(d.is_none());
-                assert_eq!(s, t0, "{ctx}");
-                let (mut warm_p, mut warm_t) = (IncrementalState::new(), IncrementalState::new());
-                for _ in 0..2 {
-                    let (s, _) = sparse.passenger_optimal_budgeted(
+                // `dispatch` with an unlimited budget, cold and warm
+                // (twice, so the second call runs on a carry).
+                for (objective, expected) in [
+                    (Objective::PassengerOptimal, &p0),
+                    (Objective::TaxiOptimal, &t0),
+                ] {
+                    let cold = sparse.dispatch(
                         &taxis,
                         &requests,
-                        None,
+                        objective,
                         Some(&grid),
-                        Some(&mut warm_p),
+                        None,
                         &unlimited,
                     );
-                    assert_eq!(s, p0, "{ctx}");
-                    let (s, _) = sparse.taxi_optimal_budgeted(
-                        &taxis,
-                        &requests,
-                        None,
-                        Some(&grid),
-                        Some(&mut warm_t),
-                        &unlimited,
-                    );
-                    assert_eq!(s, t0, "{ctx}");
+                    assert_eq!(cold, (expected.clone(), None), "{ctx} {objective:?}");
+                    let mut warm = IncrementalState::new();
+                    for _ in 0..2 {
+                        let (s, d) = sparse.dispatch(
+                            &taxis,
+                            &requests,
+                            objective,
+                            Some(&grid),
+                            Some(&mut warm),
+                            &unlimited,
+                        );
+                        assert!(d.is_none());
+                        assert_eq!(&s, expected, "{ctx} {objective:?} warm");
+                    }
                 }
 
                 // Compromise schedules.
                 assert_eq!(
                     sparse.egalitarian(&taxis, &requests, Some(64)),
-                    dense.egalitarian(&taxis, &requests, Some(64)),
+                    egalitarian,
                     "{ctx}"
                 );
-                assert_eq!(
-                    sparse.median(&taxis, &requests, Some(64)),
-                    dense.median(&taxis, &requests, Some(64)),
-                    "{ctx}"
-                );
-
-                // Sharded pipeline.
-                for spec in [ShardSpec::new(4), ShardSpec::new(9).with_padding(1.5)] {
-                    let sharded = sparse.clone().with_shard_mode(ShardMode::Sharded(spec));
-                    assert_eq!(
-                        sharded.passenger_optimal_with_grid(&taxis, &requests, Some(&grid)),
-                        p0,
-                        "{ctx}"
-                    );
-                    assert_eq!(
-                        sharded.taxi_optimal_with_grid(&taxis, &requests, Some(&grid)),
-                        t0,
-                        "{ctx}"
-                    );
-                }
+                assert_eq!(sparse.median(&taxis, &requests, Some(64)), median, "{ctx}");
             }
         }
     }

@@ -10,7 +10,9 @@
 //! newly arrived — yields schedules bit-identical to a cold start, at
 //! every threshold setting and thread count.
 
-use o2o_core::{CandidateMode, IncrementalState, NonSharingDispatcher, PreferenceParams};
+use o2o_core::{
+    IncrementalState, NonSharingDispatcher, Objective, PreferenceParams, Schedule, TimeBudget,
+};
 use o2o_geo::{Euclidean, Point};
 use o2o_par::Parallelism;
 use o2o_trace::{Request, RequestId, Taxi, TaxiId};
@@ -85,6 +87,43 @@ fn rolling_frames(
     out
 }
 
+/// One unbudgeted dispatch: warm with a state, cold without.
+fn dispatch(
+    d: &NonSharingDispatcher<Euclidean>,
+    (taxis, requests): (&[Taxi], &[Request]),
+    objective: Objective,
+    state: Option<&mut IncrementalState>,
+) -> Schedule {
+    d.dispatch(
+        taxis,
+        requests,
+        objective,
+        None,
+        state,
+        &TimeBudget::unlimited(),
+    )
+    .0
+}
+
+/// The dense reference schedule: deferred acceptance on
+/// [`NonSharingDispatcher::preferences`].
+fn oracle(
+    d: &NonSharingDispatcher<Euclidean>,
+    taxis: &[Taxi],
+    requests: &[Request],
+    objective: Objective,
+) -> Schedule {
+    let model = d.preferences(taxis, requests);
+    let m = match objective {
+        Objective::PassengerOptimal => model.instance.propose(),
+        Objective::TaxiOptimal => model.instance.reviewer_optimal(),
+    };
+    model.to_schedule(taxis, requests, &m)
+}
+
+const P: Objective = Objective::PassengerOptimal;
+const T: Objective = Objective::TaxiOptimal;
+
 fn param_grid() -> Vec<PreferenceParams> {
     vec![
         PreferenceParams::paper(),
@@ -117,13 +156,11 @@ proptest! {
                 let mut p_state = IncrementalState::new();
                 let mut t_state = IncrementalState::new();
                 for (taxis, requests) in &frames {
-                    let warm_p =
-                        d.passenger_optimal_incremental(taxis, requests, None, &mut p_state);
-                    prop_assert_eq!(
-                        &warm_p, &d.passenger_optimal_with_grid(taxis, requests, None)
-                    );
-                    let warm_t = d.taxi_optimal_incremental(taxis, requests, None, &mut t_state);
-                    prop_assert_eq!(&warm_t, &d.taxi_optimal_with_grid(taxis, requests, None));
+                    let frame = (&taxis[..], &requests[..]);
+                    let warm_p = dispatch(&d, frame, P, Some(&mut p_state));
+                    prop_assert_eq!(&warm_p, &dispatch(&d, frame, P, None));
+                    let warm_t = dispatch(&d, frame, T, Some(&mut t_state));
+                    prop_assert_eq!(&warm_t, &dispatch(&d, frame, T, None));
                 }
             }
         }
@@ -141,8 +178,9 @@ proptest! {
                 state.clear();
                 prop_assert!(state.carried_pairs().is_empty());
             }
-            let s = d.passenger_optimal_incremental(taxis, requests, None, &mut state);
-            prop_assert_eq!(&s, &d.passenger_optimal_with_grid(taxis, requests, None));
+            let frame = (&taxis[..], &requests[..]);
+            let s = dispatch(&d, frame, P, Some(&mut state));
+            prop_assert_eq!(&s, &dispatch(&d, frame, P, None));
             let mut expected: Vec<(RequestId, TaxiId)> = requests
                 .iter()
                 .filter_map(|r| s.assignment_of(r.id).taxi().map(|t| (r.id, t)))
@@ -154,20 +192,17 @@ proptest! {
         }
     }
 
-    /// Dense mode as the cross-check: the warm sparse path agrees with a
-    /// dense cold dispatcher frame by frame.
+    /// The dense oracle as the cross-check: the warm sparse path agrees
+    /// with cold deferred acceptance on the dense model frame by frame.
     #[test]
     fn warm_sparse_matches_dense_cold(seed in any::<u64>()) {
         let frames = rolling_frames(seed, 5, 8.0, 0.2);
-        let params = PreferenceParams::paper();
-        let sparse = NonSharingDispatcher::new(Euclidean, params);
-        let dense = NonSharingDispatcher::new(Euclidean, params)
-            .with_candidate_mode(CandidateMode::Dense);
+        let d = NonSharingDispatcher::new(Euclidean, PreferenceParams::paper());
         let mut state = IncrementalState::new();
         for (taxis, requests) in &frames {
             prop_assert_eq!(
-                &sparse.passenger_optimal_incremental(taxis, requests, None, &mut state),
-                &dense.passenger_optimal(taxis, requests)
+                &dispatch(&d, (taxis, requests), P, Some(&mut state)),
+                &oracle(&d, taxis, requests, P)
             );
         }
     }
@@ -184,9 +219,9 @@ fn stationary_frames_carry_the_full_matching() {
     };
     let d = NonSharingDispatcher::new(Euclidean, PreferenceParams::paper());
     let mut state = IncrementalState::new();
-    let first = d.passenger_optimal_incremental(&taxis, &requests, None, &mut state);
+    let first = dispatch(&d, (&taxis, &requests), P, Some(&mut state));
     let carried_before = state.carried_pairs().to_vec();
-    let second = d.passenger_optimal_incremental(&taxis, &requests, None, &mut state);
+    let second = dispatch(&d, (&taxis, &requests), P, Some(&mut state));
     assert_eq!(first, second);
     assert_eq!(state.carried_pairs(), &carried_before[..]);
 }
@@ -240,8 +275,7 @@ fn warm_keyed_path_matches_dense_oracle_on_tie_heavy_frames() {
             requests[replaced] = request(&mut rng, 100 + k);
         }
         for params in param_grid() {
-            let dense = NonSharingDispatcher::new(Euclidean, params)
-                .with_candidate_mode(CandidateMode::Dense);
+            let dense = NonSharingDispatcher::new(Euclidean, params);
             for threads in [1, 4] {
                 let d = NonSharingDispatcher::new(Euclidean, params)
                     .with_parallelism(Parallelism::fixed(threads));
@@ -249,14 +283,15 @@ fn warm_keyed_path_matches_dense_oracle_on_tie_heavy_frames() {
                 let mut t_state = IncrementalState::new();
                 for (f, (taxis, requests)) in frames.iter().enumerate() {
                     let ctx = format!("seed {seed} frame {f} threads {threads} params {params:?}");
+                    let frame = (&taxis[..], &requests[..]);
                     assert_eq!(
-                        d.passenger_optimal_incremental(taxis, requests, None, &mut p_state),
-                        dense.passenger_optimal(taxis, requests),
+                        dispatch(&d, frame, P, Some(&mut p_state)),
+                        oracle(&dense, taxis, requests, P),
                         "{ctx}"
                     );
                     assert_eq!(
-                        d.taxi_optimal_incremental(taxis, requests, None, &mut t_state),
-                        dense.taxi_optimal(taxis, requests),
+                        dispatch(&d, frame, T, Some(&mut t_state)),
+                        oracle(&dense, taxis, requests, T),
                         "{ctx}"
                     );
                 }

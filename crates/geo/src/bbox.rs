@@ -123,19 +123,6 @@ impl BBox {
         )
     }
 
-    /// A copy grown (or shrunk, for negative `margin`) by `margin` km on
-    /// every side. Shrinking never inverts the box: it stops at the centre.
-    #[must_use]
-    pub fn inflated(&self, margin: f64) -> BBox {
-        let c = self.center();
-        let half_w = (self.width() / 2.0 + margin).max(0.0);
-        let half_h = (self.height() / 2.0 + margin).max(0.0);
-        BBox::new(
-            Point::new(c.x - half_w, c.y - half_h),
-            Point::new(c.x + half_w, c.y + half_h),
-        )
-    }
-
     /// The smallest box containing both `self` and `p`.
     #[must_use]
     pub fn expanded_to(&self, p: Point) -> BBox {
@@ -143,36 +130,6 @@ impl BBox {
             min: Point::new(self.min.x.min(p.x), self.min.y.min(p.y)),
             max: Point::new(self.max.x.max(p.x), self.max.y.max(p.y)),
         }
-    }
-
-    /// Euclidean distance from `p` to the nearest point of the box
-    /// (`0.0` when `p` is inside or on the boundary).
-    ///
-    /// Works for degenerate boxes too: a zero-area box (a point or a
-    /// segment) is still a valid set of points, so the distance to it is
-    /// the distance to that point/segment, never `NaN`.
-    #[must_use]
-    pub fn distance_to_point(&self, p: Point) -> f64 {
-        p.euclidean(self.clamp(p))
-    }
-
-    /// Euclidean distance between the closest pair of points of `self` and
-    /// `other` — a lower bound on the distance between *any* point of one
-    /// and any point of the other.
-    ///
-    /// Returns `0.0` when the boxes overlap, share an edge, or share only a
-    /// corner (touching sets have distance zero). Zero-area boxes behave as
-    /// the points/segments they are.
-    #[must_use]
-    pub fn min_distance_to(&self, other: &BBox) -> f64 {
-        // Per-axis gap between the intervals; 0 when they overlap or touch.
-        let dx = (other.min.x - self.max.x)
-            .max(self.min.x - other.max.x)
-            .max(0.0);
-        let dy = (other.min.y - self.max.y)
-            .max(self.min.y - other.max.y)
-            .max(0.0);
-        (dx * dx + dy * dy).sqrt()
     }
 }
 
@@ -185,7 +142,6 @@ impl fmt::Display for BBox {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     #[test]
     fn corners_are_normalised() {
@@ -244,115 +200,14 @@ mod tests {
     }
 
     #[test]
-    fn inflate_and_area() {
-        let b = BBox::square(Point::ORIGIN, 2.0);
-        assert_eq!(b.area(), 4.0);
-        let big = b.inflated(1.0);
-        assert_eq!(big.width(), 4.0);
-        let tiny = b.inflated(-5.0);
-        assert_eq!(tiny.width(), 0.0);
+    fn area_is_width_times_height() {
+        let b = BBox::new(Point::ORIGIN, Point::new(2.0, 3.0));
+        assert_eq!(b.area(), 6.0);
     }
 
     #[test]
     fn diagonal_bounds_distances() {
         let b = BBox::new(Point::new(0.0, 0.0), Point::new(3.0, 4.0));
         assert_eq!(b.diagonal(), 5.0);
-    }
-
-    #[test]
-    fn point_distance_inside_and_outside() {
-        let b = BBox::square(Point::ORIGIN, 2.0);
-        assert_eq!(b.distance_to_point(Point::new(0.5, -0.5)), 0.0);
-        assert_eq!(b.distance_to_point(Point::new(1.0, 1.0)), 0.0); // corner
-        assert_eq!(b.distance_to_point(Point::new(4.0, 0.0)), 3.0);
-        assert_eq!(b.distance_to_point(Point::new(4.0, 5.0)), 5.0); // diagonal 3-4-5
-    }
-
-    #[test]
-    fn box_distance_disjoint_axis_and_diagonal() {
-        let a = BBox::new(Point::new(0.0, 0.0), Point::new(1.0, 1.0));
-        let right = BBox::new(Point::new(3.0, 0.0), Point::new(4.0, 1.0));
-        assert_eq!(a.min_distance_to(&right), 2.0);
-        assert_eq!(right.min_distance_to(&a), 2.0);
-        let diag = BBox::new(Point::new(4.0, 5.0), Point::new(6.0, 7.0));
-        assert_eq!(a.min_distance_to(&diag), 5.0); // 3-4-5 between corners
-    }
-
-    #[test]
-    fn box_distance_touching_is_zero() {
-        let a = BBox::new(Point::new(0.0, 0.0), Point::new(1.0, 1.0));
-        // Shared edge.
-        let edge = BBox::new(Point::new(1.0, 0.0), Point::new(2.0, 1.0));
-        assert_eq!(a.min_distance_to(&edge), 0.0);
-        // Shared corner only.
-        let corner = BBox::new(Point::new(1.0, 1.0), Point::new(2.0, 2.0));
-        assert_eq!(a.min_distance_to(&corner), 0.0);
-        // Overlapping.
-        let overlap = BBox::new(Point::new(0.5, 0.5), Point::new(2.0, 2.0));
-        assert_eq!(a.min_distance_to(&overlap), 0.0);
-    }
-
-    #[test]
-    fn zero_area_boxes_behave_as_points_and_segments() {
-        // A point-box.
-        let p = BBox::new(Point::new(2.0, 3.0), Point::new(2.0, 3.0));
-        assert_eq!(p.distance_to_point(Point::new(2.0, 3.0)), 0.0);
-        assert_eq!(p.distance_to_point(Point::new(5.0, 7.0)), 5.0);
-        // A vertical segment-box.
-        let seg = BBox::new(Point::new(0.0, 0.0), Point::new(0.0, 4.0));
-        assert_eq!(seg.distance_to_point(Point::new(3.0, 2.0)), 3.0);
-        // Point-box vs point-box: plain point distance.
-        let q = BBox::new(Point::new(5.0, 7.0), Point::new(5.0, 7.0));
-        assert_eq!(p.min_distance_to(&q), 5.0);
-        // Segment touching a point-box at its endpoint.
-        let end = BBox::new(Point::new(0.0, 4.0), Point::new(0.0, 4.0));
-        assert_eq!(seg.min_distance_to(&end), 0.0);
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(128))]
-
-        /// The bbox lower bound never exceeds the true minimum pairwise
-        /// distance between points drawn from each box — including
-        /// degenerate (zero-area) boxes and shared edges/corners.
-        #[test]
-        fn min_distance_lower_bounds_all_pairs(
-            a_pts in proptest::collection::vec((-10.0..10.0f64, -10.0..10.0f64), 1..12),
-            b_pts in proptest::collection::vec((-10.0..10.0f64, -10.0..10.0f64), 1..12),
-        ) {
-            let a_pts: Vec<Point> = a_pts.into_iter().map(|(x, y)| Point::new(x, y)).collect();
-            let b_pts: Vec<Point> = b_pts.into_iter().map(|(x, y)| Point::new(x, y)).collect();
-            let a = BBox::from_points(a_pts.iter().copied()).unwrap();
-            let b = BBox::from_points(b_pts.iter().copied()).unwrap();
-            let bound = a.min_distance_to(&b);
-            prop_assert_eq!(bound, b.min_distance_to(&a));
-            for &p in &a_pts {
-                prop_assert!(a.distance_to_point(p) == 0.0);
-                for &q in &b_pts {
-                    let d = p.euclidean(q);
-                    prop_assert!(
-                        bound <= d,
-                        "bbox bound {} exceeds pair distance {}", bound, d
-                    );
-                }
-            }
-        }
-
-        /// `distance_to_point` lower-bounds the distance to every point the
-        /// box contains, and is exact for the clamped projection.
-        #[test]
-        fn point_distance_lower_bounds_contents(
-            pts in proptest::collection::vec((-10.0..10.0f64, -10.0..10.0f64), 1..12),
-            qx in -15.0..15.0f64,
-            qy in -15.0..15.0f64,
-        ) {
-            let pts: Vec<Point> = pts.into_iter().map(|(x, y)| Point::new(x, y)).collect();
-            let b = BBox::from_points(pts.iter().copied()).unwrap();
-            let q = Point::new(qx, qy);
-            let bound = b.distance_to_point(q);
-            for &p in &pts {
-                prop_assert!(bound <= p.euclidean(q) + 1e-12);
-            }
-        }
     }
 }

@@ -608,8 +608,8 @@ impl Simulator {
                 let budget = self.config.frame_budget.start();
                 // Policy-independent precomputation, built only for
                 // policies that will read it: the idle × pending pick-up
-                // matrix (dense candidate mode), and the idle-taxi grid
-                // shared by sparse candidate generation and the
+                // matrix, and the idle-taxi grid shared by sparse
+                // candidate generation and the
                 // grid-accelerated baselines. The grid is maintained
                 // incrementally across frames, keyed by fleet index, then
                 // remapped to idle-slice ranks (the fleet→rank map is
@@ -873,7 +873,7 @@ impl Simulator {
 mod tests {
     use super::*;
     use crate::policy;
-    use o2o_core::PreferenceParams;
+    use o2o_core::{NonSharingDispatcher, Objective, PreferenceParams};
     use o2o_geo::BBox;
     use o2o_trace::{boston_september_2012, RequestId};
 
@@ -992,18 +992,41 @@ mod tests {
         assert!(report.total_drive_km > 0.0);
     }
 
+    /// NSTD without the policy's warm state, as a test-local policy:
+    /// every frame a cold `dispatch` (`state: None`), or — `dense` —
+    /// deferred acceptance on the dense oracle model.
+    fn reference_nstd<M: Metric>(
+        metric: M,
+        params: PreferenceParams,
+        objective: Objective,
+        dense: bool,
+    ) -> impl DispatchPolicy {
+        let d = NonSharingDispatcher::new(metric, params);
+        policy::from_fn("NSTD-reference", move |ctx: &FrameContext<'_>| {
+            let (taxis, requests) = (ctx.idle_taxis, ctx.pending);
+            let schedule = if dense {
+                let model = d.preferences(taxis, requests);
+                let m = match objective {
+                    Objective::PassengerOptimal => model.instance.propose(),
+                    Objective::TaxiOptimal => model.instance.reviewer_optimal(),
+                };
+                model.to_schedule(taxis, requests, &m)
+            } else {
+                d.dispatch(taxis, requests, objective, None, None, &ctx.budget)
+                    .0
+            };
+            policy::from_schedule(requests, &schedule)
+        })
+    }
+
     #[test]
     fn sparse_and_dense_candidate_modes_run_identically() {
-        use o2o_core::{CandidateMode, NonSharingDispatcher};
         let trace = boston_september_2012(0.002).generate(7);
         let params = PreferenceParams::default();
-        // Default NSTD-P is sparse (grid-pruned candidates); pinning its
-        // full run against the dense path catches any divergence the
-        // per-frame property tests could miss.
+        // Pinning the NSTD-P policy's full run against the dense oracle
+        // catches any divergence the per-frame property tests could miss.
         let mut sparse = policy::nstd_p(Euclidean, params);
-        let mut dense = policy::NstdPPolicy::from_dispatcher(
-            NonSharingDispatcher::new(Euclidean, params).with_candidate_mode(CandidateMode::Dense),
-        );
+        let mut dense = reference_nstd(Euclidean, params, Objective::PassengerOptimal, true);
         let a = Simulator::new(SimConfig::default()).run(&trace, &mut sparse);
         let b = Simulator::new(SimConfig::default()).run(&trace, &mut dense);
         assert_eq!(a.delays_min, b.delays_min);
@@ -1011,47 +1034,6 @@ mod tests {
         assert_eq!(a.taxi_dissatisfaction, b.taxi_dissatisfaction);
         assert_eq!(a.total_drive_km, b.total_drive_km);
         assert_eq!(a.queue_by_frame, b.queue_by_frame);
-    }
-
-    #[test]
-    fn sharded_mode_runs_identically_end_to_end() {
-        use o2o_core::{IncrementalMode, NonSharingDispatcher, ShardMode, ShardSpec};
-        let trace = boston_september_2012(0.002).generate(9);
-        let params = PreferenceParams::default();
-        // Cold incremental mode makes every frame take the cold sparse
-        // path, where the sharded pipeline engages (the warm path's
-        // carried seed bypasses it by design).
-        let mut global =
-            policy::nstd_p(Euclidean, params).with_incremental_mode(IncrementalMode::Cold);
-        let mut sharded = policy::NstdPPolicy::from_dispatcher(
-            NonSharingDispatcher::new(Euclidean, params)
-                .with_shard_mode(ShardMode::Sharded(ShardSpec::new(8))),
-        )
-        .with_incremental_mode(IncrementalMode::Cold);
-        let a = Simulator::new(SimConfig::default()).run(&trace, &mut global);
-        let b = Simulator::new(SimConfig::default()).run(&trace, &mut sharded);
-        assert_eq!(a.delays_min, b.delays_min);
-        assert_eq!(a.passenger_dissatisfaction, b.passenger_dissatisfaction);
-        assert_eq!(a.taxi_dissatisfaction, b.taxi_dissatisfaction);
-        assert_eq!(a.total_drive_km, b.total_drive_km);
-        assert_eq!(a.queue_by_frame, b.queue_by_frame);
-        // The sharded run reports its per-frame shard counters; the
-        // global run reports none.
-        assert!(b.total_shard_frames() > 0, "sharded pipeline never engaged");
-        assert_eq!(a.total_shard_frames(), 0);
-
-        let mut global_t =
-            policy::nstd_t(Euclidean, params).with_incremental_mode(IncrementalMode::Cold);
-        let mut sharded_t = policy::NstdTPolicy::from_dispatcher(
-            NonSharingDispatcher::new(Euclidean, params)
-                .with_shard_mode(ShardMode::Sharded(ShardSpec::new(8))),
-        )
-        .with_incremental_mode(IncrementalMode::Cold);
-        let at = Simulator::new(SimConfig::default()).run(&trace, &mut global_t);
-        let bt = Simulator::new(SimConfig::default()).run(&trace, &mut sharded_t);
-        assert_eq!(at.delays_min, bt.delays_min);
-        assert_eq!(at.passenger_dissatisfaction, bt.passenger_dissatisfaction);
-        assert_eq!(at.taxi_dissatisfaction, bt.taxi_dissatisfaction);
     }
 
     #[test]
@@ -1085,15 +1067,13 @@ mod tests {
 
     #[test]
     fn warm_incremental_mode_matches_cold_over_a_full_run() {
-        use o2o_core::IncrementalMode;
         let trace = boston_september_2012(0.002).generate(13);
         let params = PreferenceParams::default();
-        // Warm is the default; Cold re-runs deferred acceptance from
-        // scratch each frame. The two must be bit-identical end to end.
+        // The NSTD policies warm-start every frame; the reference re-runs
+        // deferred acceptance from scratch. The two must be bit-identical
+        // end to end.
         let mut warm = policy::nstd_p(Euclidean, params);
-        assert_eq!(warm.incremental_mode(), IncrementalMode::Warm);
-        let mut cold =
-            policy::nstd_p(Euclidean, params).with_incremental_mode(IncrementalMode::Cold);
+        let mut cold = reference_nstd(Euclidean, params, Objective::PassengerOptimal, false);
         let a = Simulator::new(SimConfig::default()).run(&trace, &mut warm);
         let b = Simulator::new(SimConfig::default()).run(&trace, &mut cold);
         assert_eq!(a.delays_min, b.delays_min);
@@ -1103,8 +1083,7 @@ mod tests {
         assert_eq!(a.queue_by_frame, b.queue_by_frame);
 
         let mut warm_t = policy::nstd_t(Euclidean, params);
-        let mut cold_t =
-            policy::nstd_t(Euclidean, params).with_incremental_mode(IncrementalMode::Cold);
+        let mut cold_t = reference_nstd(Euclidean, params, Objective::TaxiOptimal, false);
         let at = Simulator::new(SimConfig::default()).run(&trace, &mut warm_t);
         let bt = Simulator::new(SimConfig::default()).run(&trace, &mut cold_t);
         assert_eq!(at.delays_min, bt.delays_min);
@@ -1114,18 +1093,16 @@ mod tests {
 
     #[test]
     fn persistent_cache_sweeps_keep_per_frame_deltas_consistent() {
-        use o2o_core::NonSharingDispatcher;
         let trace = boston_september_2012(0.003).generate(5);
         let params = PreferenceParams::default();
         // A tiny capacity forces stale-origin sweeps mid-run; the sweep
         // must not disturb the cumulative hit/miss counters, so the
         // engine's per-frame deltas still sum exactly to the final stats.
-        // Cold incremental mode keeps every frame re-querying the metric
-        // (warm mode's candidate-row carry would starve the cache of the
+        // A cold policy keeps every frame re-querying the metric (the
+        // warm policy's candidate-row carry would starve the cache of the
         // repeat queries this test needs to observe hits across frames).
         let mut p = policy::cached_persistent(Euclidean, 64, |metric| {
-            policy::NstdPPolicy::from_dispatcher(NonSharingDispatcher::new(metric, params))
-                .with_incremental_mode(o2o_core::IncrementalMode::Cold)
+            reference_nstd(metric, params, Objective::PassengerOptimal, false)
         });
         let report = Simulator::new(SimConfig::default()).run(&trace, &mut p);
         let finals = p.cache_stats();

@@ -23,8 +23,8 @@ use o2o_baselines::{
     LinDispatcher, MiniDispatcher, NearDispatcher, PairDispatcher, RaiiDispatcher, SarpDispatcher,
 };
 use o2o_core::{
-    CandidateMode, Degraded, IncrementalMode, IncrementalState, NonSharingDispatcher,
-    PickupDistances, PreferenceParams, Schedule, SharingDispatcher, SharingSchedule, TimeBudget,
+    Degraded, IncrementalState, NonSharingDispatcher, Objective, PickupDistances, PreferenceParams,
+    Schedule, SharingDispatcher, SharingSchedule, TimeBudget,
 };
 use o2o_geo::{CacheStats, DistanceCache, GridIndex, Metric, Point};
 use o2o_obs::Recorder;
@@ -220,7 +220,11 @@ impl<P: DispatchPolicy + ?Sized> DispatchPolicy for Box<P> {
     }
 }
 
-fn from_schedule(requests: &[Request], s: &Schedule) -> Vec<FrameAssignment> {
+/// The frame assignments of a non-sharing schedule over `requests` (one
+/// member per taxi, route pick-up → drop-off) — what the NSTD policies
+/// return, for custom policies built with [`from_fn`].
+#[must_use]
+pub fn from_schedule(requests: &[Request], s: &Schedule) -> Vec<FrameAssignment> {
     requests
         .iter()
         .filter_map(|r| {
@@ -325,48 +329,28 @@ macro_rules! dispatcher_policy {
 }
 
 /// Hand-written (not via `dispatcher_policy!`) because the NSTD policies
-/// pick their per-frame input by candidate mode: dense wants the
-/// precomputed pick-up matrix, sparse wants the shared taxi grid. Both
-/// modes produce bit-identical schedules.
+/// carry per-policy state across frames and report degradations.
 macro_rules! nstd_policy {
-    ($struct_name:ident, $doc:literal, $label:literal, $with:ident, $with_grid:ident,
-     $incremental:ident, $budgeted:ident) => {
+    ($struct_name:ident, $doc:literal, $label:literal, $objective:expr) => {
         #[doc = $doc]
         ///
-        /// With the dispatcher in [`CandidateMode::Sparse`] (the default)
-        /// the policy asks the engine for the shared per-frame taxi grid
-        /// and generates candidates through it; in
-        /// [`CandidateMode::Dense`] it consumes the precomputed pick-up
-        /// matrix as before. On the sparse path the policy additionally
-        /// warm-starts deferred acceptance from the previous frame's
-        /// matching ([`IncrementalMode::Warm`], the default); toggle to
-        /// [`IncrementalMode::Cold`] for A/B benchmarking. The schedules
-        /// are bit-identical across every mode combination.
-        ///
-        /// A dispatcher configured with
-        /// [`ShardMode::Sharded`](o2o_core::ShardMode::Sharded) routes the
-        /// sparse **cold** and budgeted paths through the spatially
-        /// sharded pipeline (still bit-identical; see
-        /// `o2o_core::shard`). The warm incremental path bypasses
-        /// sharding — its carried cross-frame seed already plays the role
-        /// the shard-local seed would — so pair sharding with
-        /// [`IncrementalMode::Cold`] to engage it every frame.
+        /// Each frame is one [`NonSharingDispatcher::dispatch`] call on the
+        /// engine's shared taxi grid, warm-started from the previous
+        /// frame's matching and candidate rows (bit-identical to a cold
+        /// start) and bounded by the frame's budget.
         pub struct $struct_name<M> {
             inner: NonSharingDispatcher<M>,
-            incremental: IncrementalMode,
             state: IncrementalState,
             degraded: Option<Degraded>,
         }
 
         impl<M: Metric> $struct_name<M> {
             /// Wraps a pre-built dispatcher (e.g. one configured with
-            /// `with_parallelism` or `with_candidate_mode`) as a frame
-            /// policy.
+            /// `with_parallelism`) as a frame policy.
             #[must_use]
             pub fn from_dispatcher(inner: NonSharingDispatcher<M>) -> Self {
                 $struct_name {
                     inner,
-                    incremental: IncrementalMode::default(),
                     state: IncrementalState::new(),
                     degraded: None,
                 }
@@ -377,22 +361,6 @@ macro_rules! nstd_policy {
             pub fn dispatcher(&self) -> &NonSharingDispatcher<M> {
                 &self.inner
             }
-
-            /// Sets whether the sparse path warm-starts from the previous
-            /// frame (results are bit-identical either way). Resets any
-            /// carried state so a mode change never leaks a stale seed.
-            #[must_use]
-            pub fn with_incremental_mode(mut self, mode: IncrementalMode) -> Self {
-                self.incremental = mode;
-                self.state.clear();
-                self
-            }
-
-            /// The warm-start mode in use.
-            #[must_use]
-            pub fn incremental_mode(&self) -> IncrementalMode {
-                self.incremental
-            }
         }
 
         impl<M: Metric> DispatchPolicy for $struct_name<M> {
@@ -401,40 +369,12 @@ macro_rules! nstd_policy {
             }
 
             fn dispatch(&mut self, ctx: &FrameContext<'_>) -> Vec<FrameAssignment> {
-                if ctx.budget.is_unlimited() {
-                    self.degraded = None;
-                    let schedule = match (self.inner.candidate_mode(), self.incremental) {
-                        (CandidateMode::Dense, _) => {
-                            self.inner
-                                .$with(ctx.idle_taxis, ctx.pending, ctx.pickup_distances)
-                        }
-                        (CandidateMode::Sparse, IncrementalMode::Warm) => self.inner.$incremental(
-                            ctx.idle_taxis,
-                            ctx.pending,
-                            ctx.taxi_grid,
-                            &mut self.state,
-                        ),
-                        (CandidateMode::Sparse, IncrementalMode::Cold) => {
-                            self.inner
-                                .$with_grid(ctx.idle_taxis, ctx.pending, ctx.taxi_grid)
-                        }
-                    };
-                    return from_schedule(ctx.pending, &schedule);
-                }
-                // Finite budget: the budgeted entry point owns the mode
-                // dispatch (warm state is only threaded through on the
-                // sparse+warm combination, matching the unbudgeted arms).
-                let state = matches!(
-                    (self.inner.candidate_mode(), self.incremental),
-                    (CandidateMode::Sparse, IncrementalMode::Warm)
-                )
-                .then(|| &mut self.state);
-                let (schedule, degraded) = self.inner.$budgeted(
+                let (schedule, degraded) = self.inner.dispatch(
                     ctx.idle_taxis,
                     ctx.pending,
-                    ctx.pickup_distances,
+                    $objective,
                     ctx.taxi_grid,
-                    state,
+                    Some(&mut self.state),
                     &ctx.budget,
                 );
                 self.degraded = degraded;
@@ -445,12 +385,8 @@ macro_rules! nstd_policy {
                 self.degraded.take()
             }
 
-            fn wants_pickup_distances(&self) -> bool {
-                self.inner.candidate_mode() == CandidateMode::Dense
-            }
-
             fn wants_taxi_grid(&self) -> bool {
-                self.inner.candidate_mode() == CandidateMode::Sparse
+                true
             }
         }
     };
@@ -460,20 +396,14 @@ nstd_policy!(
     NstdPPolicy,
     "Algorithm 1 (NSTD-P) as a frame policy.",
     "NSTD-P",
-    passenger_optimal_with,
-    passenger_optimal_with_grid,
-    passenger_optimal_incremental,
-    passenger_optimal_budgeted
+    Objective::PassengerOptimal
 );
 
 nstd_policy!(
     NstdTPolicy,
     "NSTD-T (taxi-optimal stable matching) as a frame policy.",
     "NSTD-T",
-    taxi_optimal_with,
-    taxi_optimal_with_grid,
-    taxi_optimal_incremental,
-    taxi_optimal_budgeted
+    Objective::TaxiOptimal
 );
 
 dispatcher_policy!(
@@ -938,19 +868,12 @@ mod tests {
     }
 
     #[test]
-    fn nstd_policies_want_frame_inputs_by_candidate_mode() {
+    fn nstd_policies_want_the_taxi_grid_only() {
         let p = PreferenceParams::default();
-        // Sparse (the default): taxi grid in, pick-up matrix out.
         assert!(!nstd_p(Euclidean, p).wants_pickup_distances());
         assert!(!nstd_t(Euclidean, p).wants_pickup_distances());
         assert!(nstd_p(Euclidean, p).wants_taxi_grid());
         assert!(nstd_t(Euclidean, p).wants_taxi_grid());
-        // Dense: the original contract.
-        let dense = NstdPPolicy::from_dispatcher(
-            NonSharingDispatcher::new(Euclidean, p).with_candidate_mode(CandidateMode::Dense),
-        );
-        assert!(dense.wants_pickup_distances());
-        assert!(!dense.wants_taxi_grid());
         // Non-NSTD policies ask for neither.
         assert!(!nstd_e(Euclidean, p).wants_pickup_distances());
         assert!(!std_p(Euclidean, p).wants_pickup_distances());

@@ -6,14 +6,14 @@
 //! and by byte-level WAL corruption. Each resumed run must finish with a
 //! [`SimReport`] whose `deterministic_digest` — every result field —
 //! equals the uninterrupted run's, across kill points × thread counts ×
-//! shard modes × fault plans × warm/cold incremental modes.
+//! fault plans × warm/cold policies.
 
-use o2o_core::{IncrementalMode, NonSharingDispatcher, PreferenceParams, ShardMode, ShardSpec};
+use o2o_core::{NonSharingDispatcher, Objective, PreferenceParams};
 use o2o_geo::Euclidean;
 use o2o_par::Parallelism;
 use o2o_sim::{
     latest_valid_checkpoint, policy, wal_frames, CheckpointSpec, CkptError, DispatchPolicy,
-    FaultPlan, RunOutcome, SimConfig, SimReport, Simulator,
+    FaultPlan, FrameContext, RunOutcome, SimConfig, SimReport, Simulator,
 };
 use o2o_trace::{boston_september_2012, Trace};
 use proptest::prelude::*;
@@ -231,34 +231,24 @@ fn resume_under_a_different_run_identity_is_refused() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn sharded_cold_policy_resumes_identically() {
-    let params = PreferenceParams::default();
-    let make = || {
-        policy::NstdPPolicy::from_dispatcher(
-            NonSharingDispatcher::new(Euclidean, params)
-                .with_shard_mode(ShardMode::Sharded(ShardSpec::new(8))),
-        )
-        .with_incremental_mode(IncrementalMode::Cold)
-    };
-    let trace = boston_september_2012(0.002).generate(9);
-    let sim = Simulator::new(SimConfig::default());
-    let mut plain = make();
-    let baseline = sim.run(&trace, &mut plain);
-
-    let dir = tmp_dir("sharded");
-    let spec = CheckpointSpec::new(&dir).with_interval(8);
-    let resumed = run_with_kills(&sim, &trace, make, &spec, &[13, 11, 7]);
-    assert_result_identical(&baseline, &resumed);
-    let _ = fs::remove_dir_all(&dir);
+/// NSTD-P without the policy's warm state: every frame a cold `dispatch`
+/// (`state: None`).
+fn cold_nstd_p(params: PreferenceParams) -> impl DispatchPolicy {
+    let d = NonSharingDispatcher::new(Euclidean, params);
+    policy::from_fn("NSTD-P", move |ctx: &FrameContext<'_>| {
+        let (taxis, requests) = (ctx.idle_taxis, ctx.pending);
+        let objective = Objective::PassengerOptimal;
+        let (schedule, _) = d.dispatch(taxis, requests, objective, None, None, &ctx.budget);
+        policy::from_schedule(requests, &schedule)
+    })
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// The full sweep: random kill points, thread counts, fault plans,
-    /// checkpoint intervals and warm/cold incremental modes. Resume is
-    /// always bit-identical on result fields.
+    /// checkpoint intervals and warm/cold policies. Resume is always
+    /// bit-identical on result fields.
     #[test]
     fn kill_resume_sweep_is_bit_identical(
         trace_seed in 0u64..500,
@@ -272,8 +262,13 @@ proptest! {
     ) {
         let trace = boston_september_2012(0.001).generate(trace_seed);
         let params = PreferenceParams::default();
-        let mode = if cold { IncrementalMode::Cold } else { IncrementalMode::Warm };
-        let make = || policy::nstd_p(Euclidean, params).with_incremental_mode(mode);
+        let make = || -> Box<dyn DispatchPolicy> {
+            if cold {
+                Box::new(cold_nstd_p(params))
+            } else {
+                Box::new(policy::nstd_p(Euclidean, params))
+            }
+        };
         let sim = Simulator::new(SimConfig::default())
             .with_parallelism(Parallelism::fixed(threads))
             .with_fault_plan(FaultPlan::uniform(fault_seed, rate));
